@@ -60,10 +60,6 @@ from repro.service.server import ContractPricingServer
 #: The fault modes the degradation table measures (clean is the baseline).
 BENCH_FAULT_MODES = ("reset", "tear", "disconnect", "delay", "slowloris")
 
-#: Micro-batch window for every served pass — small enough that the
-#: sequential baseline measures wire cost, not the coalescing window.
-WINDOW_S = 0.0005
-
 
 def _mix(catalog: ServiceCatalog, n: int) -> List[Tuple[str, str]]:
     """Deterministic request mix: round-robin over contract x load."""
@@ -118,7 +114,7 @@ def run_wire(
     """
 
     async def once() -> Dict[str, object]:
-        server = ContractPricingServer(catalog, port=0, window_s=WINDOW_S)
+        server = ContractPricingServer(catalog, port=0)
         await server.start()
         proxy = FaultyProxy(server.address, _wire_spec(mode, rate), seed=seed)
         await proxy.start()
@@ -262,7 +258,6 @@ def run_all(args: argparse.Namespace) -> Dict[str, object]:
             "days": args.days,
             "seed": args.seed,
             "repeat": args.repeat,
-            "window_ms": WINDOW_S * 1e3,
             "n_contracts": len(catalog.contract_names()),
         },
         "environment": {

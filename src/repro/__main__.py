@@ -389,18 +389,17 @@ def main(argv: list = None) -> int:
     srv.add_argument(
         "--port", type=int, default=8765, help="bind port (0 = ephemeral)"
     )
+    # Accepted and ignored so existing command lines keep working: price
+    # quotes are settled once at startup, so there is no batch to tune.
     srv.add_argument(
-        "--window-ms", type=float, default=2.0,
-        help="micro-batch latency window in milliseconds (0 = no wait)",
+        "--window-ms", type=float, help="no-op (quotes are settled at startup)"
     )
     srv.add_argument(
-        "--max-batch", type=int, default=256,
-        help="flush a batch as soon as this many requests are pending",
+        "--max-batch", type=int, help="no-op (quotes are settled at startup)"
     )
     srv.add_argument(
         "--columnar", action="store_true",
-        help="route large same-contract batches through bill_population "
-        "(equivalent within 1e-9, not bit-identical)",
+        help="no-op (quotes are settled at startup)",
     )
     srv.add_argument(
         "--rate", type=float, default=None,
@@ -537,9 +536,6 @@ def main(argv: list = None) -> int:
             serve(
                 host=args.host,
                 port=args.port,
-                window_ms=args.window_ms,
-                max_batch=args.max_batch,
-                columnar=args.columnar,
                 rate_per_s=args.rate,
                 burst=args.burst,
                 max_pending=args.max_pending,

@@ -19,7 +19,7 @@ sampled).  The harness then asserts the serving invariants:
   idempotent replays never change a settled number.
 * **admission conservation** — the server's own accounting closes with
   zero leaked tickets after the chaos (``n_admitted == n_completed +
-  n_timed_out``, ``pending == 0``).
+  n_timed_out + n_cancelled``, ``pending == 0``).
 * **graceful drain** — ``server.stop()`` returns a conserved
   :class:`~repro.service.resilience.DrainReport`.
 
@@ -250,8 +250,7 @@ def run_service_scenario(
     """
     # late imports: repro.service imports repro.robustness (RetryPolicy),
     # so the module-level dependency must stay one-directional.
-    from ..service.catalog import default_catalog
-    from ..service.batching import encode_bill
+    from ..service.catalog import default_catalog, encode_bill
     from ..service.server import ContractPricingServer
 
     catalog = default_catalog(n_sites=n_sites, days=days, seed=scenario.seed)
@@ -332,7 +331,9 @@ def run_service_scenario(
             "byte_identical": byte_identical,
             "admission_conserved": (
                 accounting["n_admitted"]
-                == accounting["n_completed"] + accounting["n_timed_out"]
+                == accounting["n_completed"]
+                + accounting["n_timed_out"]
+                + accounting["n_cancelled"]
                 and accounting["pending"] == 0
             ),
             "drain_conserved": report.conserved(),

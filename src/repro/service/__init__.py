@@ -3,9 +3,10 @@
 The paper frames the center–ESP relationship as an *ongoing* pricing
 dialogue; this package is the serving substrate that keeps that dialogue
 going at traffic — a stdlib-asyncio request loop over line-delimited
-JSON, a micro-batcher that coalesces concurrent single-bill requests
-into :meth:`~repro.contracts.billing.BillingEngine.bill_many` calls, a
-read-only catalog built once at startup, admission control reusing the
+JSON, a read-only catalog built once at startup that also settles every
+(contract, load) quote, one
+:meth:`~repro.contracts.billing.BillingEngine.bill_many` per load,
+admission control reusing the
 :class:`~repro.robustness.supervisor.RetryPolicy` backoff law, and an
 MCP-style tool dispatch table that makes every named study remotely
 callable.
@@ -13,12 +14,13 @@ callable.
 Layering (bottom up):
 
 * :mod:`~repro.service.catalog` — frozen contracts / loads / periods /
-  plans, built at startup so the request path never mutates caches.
+  plans and the encoded quotes, built at startup so the request path
+  never mutates caches; the canonical wire encoding of a settled bill.
 * :mod:`~repro.service.admission` — token-bucket rate limiting,
   pending-queue backpressure and request deadlines, with structured
   rejections naming the limit that fired.
-* :mod:`~repro.service.batching` — the micro-batcher and the canonical
-  wire encoding of a settled bill.
+* :mod:`~repro.service.batching` — the ``price`` front answering from the
+  quote table, and the single pricing thread.
 * :mod:`~repro.service.tools` — the named-tool dispatch table.
 * :mod:`~repro.service.resilience` — the imperfect-world toolkit:
   graceful-drain accounting, the pricing-thread watchdog, brownout

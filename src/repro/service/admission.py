@@ -132,11 +132,15 @@ class Ticket:
         remaining = self.remaining_s()
         return remaining is not None and remaining <= 0
 
-    def finish(self, timed_out: bool = False) -> None:
-        """Release the pending slot; idempotent."""
+    def finish(self, timed_out: bool = False, cancelled: bool = False) -> None:
+        """Release the pending slot, recording the outcome; idempotent.
+
+        The outcome is ``cancelled`` (the request was cancelled, e.g. by
+        a drain or a vanished peer), else ``timed_out``, else completed.
+        """
         if not self._done:
             self._done = True
-            self._controller._finish(timed_out=timed_out)
+            self._controller._finish(timed_out=timed_out, cancelled=cancelled)
 
     def __enter__(self) -> "Ticket":
         return self
@@ -187,6 +191,7 @@ class AdmissionController:
         self._n_overloaded = 0
         self._n_completed = 0
         self._n_timed_out = 0
+        self._n_cancelled = 0
 
     def _refill(self, now: float) -> None:
         rate = self.policy.rate_per_s
@@ -287,10 +292,12 @@ class AdmissionController:
             }
         )
 
-    def _finish(self, timed_out: bool) -> None:
+    def _finish(self, timed_out: bool, cancelled: bool) -> None:
         with self._lock:
             self._pending -= 1
-            if timed_out:
+            if cancelled:
+                self._n_cancelled += 1
+            elif timed_out:
                 self._n_timed_out += 1
             else:
                 self._n_completed += 1
@@ -303,7 +310,7 @@ class AdmissionController:
         Invariants (asserted by the admission tests):
 
         * ``n_submitted == n_admitted + n_rate_limited + n_overloaded``
-        * ``n_admitted == n_completed + n_timed_out + pending``
+        * ``n_admitted == n_completed + n_timed_out + n_cancelled + pending``
         """
         with self._lock:
             return {
@@ -313,5 +320,6 @@ class AdmissionController:
                 "n_overloaded": self._n_overloaded,
                 "n_completed": self._n_completed,
                 "n_timed_out": self._n_timed_out,
+                "n_cancelled": self._n_cancelled,
                 "pending": self._pending,
             }

@@ -1,40 +1,29 @@
-"""Micro-batching: coalesce concurrent single-bill requests into batches.
+"""The ``price`` front: answer from the frozen catalog's quote table.
 
-The service's unit of work is "price one (contract, load) pair", but the
-billing engine's economical entry points are the batch ones:
-:meth:`~repro.contracts.billing.BillingEngine.bill_many` shares one
-settlement plan across every contract on a load, and
-:meth:`~repro.contracts.billing.BillingEngine.bill_population` prices
-whole site populations columnar.  :class:`MicroBatcher` bridges the two:
-requests arriving within a bounded latency window (``window_s``) are
-collected and settled together, grouped by load so each group is exactly
-one ``bill_many`` call.
+The catalog is frozen at startup, so the answer to a ``price`` request
+is a pure function of (contract, load, detail).
+:class:`~repro.service.catalog.ServiceCatalog` settles every pair once
+at construction — one shared-plan ``bill_many`` per load — and keeps the
+sorted-key JSON bytes of each detail level.  :class:`MicroBatcher`
+answers ``price`` from those bytes, so a served quote is byte-for-byte
+``json.dumps(encode_bill(catalog.price(c, l), detail), sort_keys=True)``
+and the request path settles, encodes and serializes nothing.
 
-Two invariants matter more than throughput:
-
-* **Bit-identical responses.**  The scalar batch path runs the same
-  ``plan_for`` → ``_settle`` code as a direct
-  :meth:`~repro.service.catalog.ServiceCatalog.price` call, so a served
-  response is byte-for-byte the direct call's encoding (the differential
-  test enforces it).  The opt-in columnar mode (``columnar=True``)
-  instead routes large same-contract groups through
-  ``bill_population``, which is *equivalent-within-1e-9*, not
-  bit-identical — leave it off when auditability beats throughput.
-* **Single-threaded settlement.**  All pricing runs on one dedicated
-  executor thread, so the :mod:`repro.perfconfig` caches are never
-  mutated concurrently by the request path.
+The batcher also owns the service's single pricing thread: the ops that
+do price on request (``price_many``, ``compare``, ``study``, ``tool``)
+run there, so the :mod:`repro.perfconfig` caches are never mutated
+concurrently by the request path.
 
 >>> import asyncio
 >>> from repro.service.catalog import default_catalog
 >>> async def demo():
-...     batcher = MicroBatcher(default_catalog(n_sites=1, days=7),
-...                            window_s=0.001)
+...     batcher = MicroBatcher(default_catalog(n_sites=1, days=7))
 ...     await batcher.start()
 ...     names = batcher.catalog.contract_names()
-...     bills = await asyncio.gather(
+...     quotes = await asyncio.gather(
 ...         *[batcher.price(c, "site00") for c in names])
 ...     await batcher.stop()
-...     return [b["contract"] for b in bills] == names
+...     return [json.loads(q)["contract"] for q in quotes] == names
 >>> asyncio.run(demo())
 True
 """
@@ -42,116 +31,26 @@ True
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import Optional
 
 from .. import perfconfig
-from ..contracts.billing import Bill
-from ..contracts.components import ChargeDomain
-from ..exceptions import ReproError, ServiceError
-from ..observability import metrics as _metrics
+from ..exceptions import ServiceError
 from ..observability.manifest import RunManifest, record
-from .catalog import ServiceCatalog
+from .catalog import ServiceCatalog, encode_bill
 
 __all__ = ["MicroBatcher", "encode_bill"]
 
-_DETAILS = ("summary", "full")
-
-
-def encode_bill(bill: Bill, detail: str = "summary") -> Dict[str, object]:
-    """The canonical JSON-safe wire encoding of a settled bill.
-
-    ``detail="summary"`` carries the grand total, the three typology
-    branch totals and per-component totals; ``detail="full"`` adds every
-    period with its line items.  The encoding is pure float/str/dict, so
-    ``json.dumps(..., sort_keys=True)`` of two equal bills is
-    byte-identical — the property the service's differential test leans
-    on.
-
-    >>> from repro.contracts.tariff_library import swiss_post_tender
-    >>> from repro.timeseries.calendar import BillingPeriod
-    >>> from repro.timeseries.series import PowerSeries
-    >>> from repro.contracts.billing import BillingEngine
-    >>> bill = BillingEngine().bill(
-    ...     swiss_post_tender("svc"),
-    ...     PowerSeries.constant(1000.0, 24, 3600.0),
-    ...     [BillingPeriod("d0", 0.0, 86400.0)])
-    >>> enc = encode_bill(bill)
-    >>> enc["contract"], enc["currency"], enc["n_periods"]
-    ('svc / post-tender formula', 'CHF', 1)
-    """
-    if detail not in _DETAILS:
-        raise ServiceError(f"unknown detail level {detail!r}; use one of {_DETAILS}")
-    component_totals: Dict[str, float] = {}
-    for pb in bill.period_bills:
-        for item in pb.line_items:
-            component_totals[item.component] = (
-                component_totals.get(item.component, 0.0) + item.amount
-            )
-    out: Dict[str, object] = {
-        "contract": bill.contract.name,
-        "currency": bill.contract.currency,
-        "total": bill.total,
-        "estimated": bill.estimated,
-        "n_periods": len(bill.period_bills),
-        "domain_totals": {d.value: bill.domain_total(d) for d in ChargeDomain},
-        "component_totals": component_totals,
-    }
-    if detail == "full":
-        out["periods"] = [
-            {
-                "label": pb.period.label,
-                "total": pb.total,
-                "energy_kwh": pb.energy_kwh,
-                "peak_kw": pb.peak_kw,
-                "line_items": [
-                    {
-                        "component": item.component,
-                        "domain": item.domain.value,
-                        "amount": item.amount,
-                        "quantity": item.quantity,
-                        "unit": item.unit,
-                        "details": dict(item.details),
-                    }
-                    for item in pb.line_items
-                ],
-            }
-            for pb in bill.period_bills
-        ]
-    return out
-
-
-class _PendingRequest:
-    __slots__ = ("contract", "load", "detail", "future", "enqueued_at")
-
-    def __init__(self, contract, load, detail, future, enqueued_at):
-        self.contract = contract
-        self.load = load
-        self.detail = detail
-        self.future = future
-        self.enqueued_at = enqueued_at
-
 
 class MicroBatcher:
-    """Coalesce concurrent ``price`` calls into shared-plan batch settles.
+    """Answer ``price`` calls from the catalog's quotes; own the pricing thread.
 
     Parameters
     ----------
     catalog:
         The frozen :class:`~repro.service.catalog.ServiceCatalog`.
-    window_s:
-        Maximum time a request waits for companions before its batch is
-        flushed anyway (the latency bound; ``0`` flushes immediately).
-    max_batch:
-        Flush as soon as this many requests are pending, window or not.
-    columnar:
-        Opt-in: route same-contract groups of at least ``columnar_min``
-        distinct summary-detail loads through ``bill_population``
-        (equivalent within 1e-9; dynamic-tariff contracts always stay on
-        the bit-identical scalar path).
-    columnar_min:
-        Minimum distinct loads before the columnar path engages.
     executor:
         The pricing executor; defaults to a dedicated single thread so
         settlement never runs concurrently with itself.
@@ -159,12 +58,11 @@ class MicroBatcher:
     >>> import asyncio
     >>> from repro.service.catalog import default_catalog
     >>> async def demo():
-    ...     b = MicroBatcher(default_catalog(n_sites=1, days=7),
-    ...                      window_s=0.0)
+    ...     b = MicroBatcher(default_catalog(n_sites=1, days=7))
     ...     await b.start()
-    ...     enc = await b.price("svc / post-tender formula", "site00")
+    ...     quote = await b.price("svc / post-tender formula", "site00")
     ...     await b.stop()
-    ...     return enc["currency"], b.n_bills
+    ...     return json.loads(quote)["currency"], b.n_bills
     >>> asyncio.run(demo())
     ('CHF', 1)
     """
@@ -172,61 +70,41 @@ class MicroBatcher:
     def __init__(
         self,
         catalog: ServiceCatalog,
-        window_s: float = 0.002,
-        max_batch: int = 256,
-        columnar: bool = False,
-        columnar_min: int = 4,
         executor: Optional[ThreadPoolExecutor] = None,
     ) -> None:
-        if window_s < 0:
-            raise ServiceError("window_s must be non-negative")
-        if max_batch < 1:
-            raise ServiceError("max_batch must be >= 1")
-        if columnar_min < 2:
-            raise ServiceError("columnar_min must be >= 2")
         self.catalog = catalog
-        self.window_s = float(window_s)
-        self.max_batch = int(max_batch)
-        self.columnar = bool(columnar)
-        self.columnar_min = int(columnar_min)
         self._executor = executor
         self._own_executor = executor is None
-        self._pending: List[_PendingRequest] = []
-        self._wake: Optional[asyncio.Event] = None
-        self._full: Optional[asyncio.Event] = None
-        self._task: Optional[asyncio.Task] = None
-        self._stopping = False
-        #: Plain counters (always on — they cost one add per batch).
-        self.n_batches = 0
+        self._running = False
+        #: Quotes answered by :meth:`price`.
         self.n_bills = 0
-        self.n_columnar_bills = 0
+        #: Seconds the request path spent settling bills: the catalog
+        #: settles every quote at construction, so this stays 0.0.
         self.settle_s_total = 0.0
+
+    @property
+    def n_batches(self) -> int:
+        """Batches answered: every quote is answered alone, one per bill."""
+        return self.n_bills
 
     # -- lifecycle --------------------------------------------------------
 
     async def start(self) -> None:
-        """Start the flush loop (idempotent start is an error)."""
-        if self._task is not None:
+        """Start the pricing thread (starting twice is an error)."""
+        if self._running:
             raise ServiceError("micro-batcher already started")
         if self._executor is None:
             self._executor = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="repro-pricing"
             )
             self._own_executor = True
-        self._wake = asyncio.Event()
-        self._full = asyncio.Event()
-        self._stopping = False
-        self._task = asyncio.ensure_future(self._run())
+        self._running = True
 
     async def stop(self) -> None:
-        """Flush whatever is pending, then stop the loop (idempotent)."""
-        if self._task is None:
+        """Stop answering and shut the owned pricing thread down (idempotent)."""
+        if not self._running:
             return
-        self._stopping = True
-        self._wake.set()
-        self._full.set()
-        await self._task
-        self._task = None
+        self._running = False
         if self._own_executor and self._executor is not None:
             # wait=False: a drain that *cancelled* a straggler must not
             # block the event loop until the abandoned executor job ends
@@ -238,206 +116,45 @@ class MicroBatcher:
 
     def price(
         self, contract: str, load: str, detail: str = "summary"
-    ) -> "asyncio.Future[Dict[str, object]]":
-        """Enqueue one pricing request; await the result for its encoding.
+    ) -> "asyncio.Future[bytes]":
+        """Answer one pricing request with its quote bytes.
 
-        Returns the request's :class:`asyncio.Future` directly rather
-        than a coroutine: ``await batcher.price(...)`` reads naturally,
-        while ``asyncio.gather`` over many in-flight requests skips the
-        per-request Task wrapper entirely (the difference is ~40% of
-        end-to-end service throughput at high concurrency).  Must be
-        called from the event-loop thread.  Unknown names and detail
-        levels fail fast (before enqueueing) with
-        :class:`~repro.exceptions.ServiceError`.
+        Returns an already-resolved :class:`asyncio.Future` of
+        :meth:`~repro.service.catalog.ServiceCatalog.quote`, so
+        ``await batcher.price(...)`` never suspends.  Must be called
+        from the event-loop thread.  Unknown names and detail levels
+        raise :class:`~repro.exceptions.ServiceError` at once.
         """
-        if self._task is None:
+        if not self._running:
             raise ServiceError("micro-batcher is not running; call start() first")
-        if detail not in _DETAILS:
-            raise ServiceError(
-                f"unknown detail level {detail!r}; use one of {_DETAILS}"
+        quote = self.catalog.quote(contract, load, detail)
+        self.n_bills += 1
+        if perfconfig.observability_enabled():
+            self._record(contract, load, detail)
+        future = asyncio.get_running_loop().create_future()
+        future.set_result(quote)
+        return future
+
+    def _record(self, contract: str, load: str, detail: str) -> None:
+        summary = json.loads(self.catalog.quote(contract, load))
+        record(
+            RunManifest(
+                kind="service_request",
+                name=f"{contract}|{load}",
+                created_unix=time.time(),
+                # settled at catalog construction: answering costs no settle
+                wall_s=0.0,
+                cpu_s=0.0,
+                seeds={"price": self.catalog.price_seed},
+                params={
+                    "op": "price",
+                    "contract": contract,
+                    "load": load,
+                    "detail": detail,
+                },
+                payload={
+                    "total": summary["total"],
+                    "currency": summary["currency"],
+                },
             )
-        self.catalog.contract(contract)
-        self.catalog.load(load)
-        loop = asyncio.get_running_loop()
-        pending = _PendingRequest(
-            contract, load, detail, loop.create_future(), loop.time()
         )
-        self._pending.append(pending)
-        self._wake.set()
-        if len(self._pending) >= self.max_batch:
-            self._full.set()
-        return pending.future
-
-    # -- flush loop -------------------------------------------------------
-
-    async def _run(self) -> None:
-        while not self._stopping:
-            await self._wake.wait()
-            self._wake.clear()
-            if self._stopping:
-                break
-            if not self._pending:
-                continue
-            if self.window_s > 0 and len(self._pending) < self.max_batch:
-                try:
-                    await asyncio.wait_for(self._full.wait(), self.window_s)
-                except asyncio.TimeoutError:
-                    pass
-            self._full.clear()
-            await self._flush_next()
-            if self._pending:
-                self._wake.set()
-        while self._pending:  # drain on shutdown so no request hangs
-            await self._flush_next()
-
-    async def _flush_next(self) -> None:
-        batch = self._pending[: self.max_batch]
-        del self._pending[: self.max_batch]
-        if not batch:
-            return
-        loop = asyncio.get_running_loop()
-        t0 = loop.time()
-        results = await loop.run_in_executor(
-            self._executor, self._settle_batch, batch
-        )
-        settle_s = loop.time() - t0
-        self.n_batches += 1
-        self.n_bills += len(batch)
-        self.settle_s_total += settle_s
-        observed = perfconfig.observability_enabled()
-        now = loop.time()
-        for pending, result in zip(batch, results):
-            if observed:
-                _metrics.observe(
-                    "service.request.latency_s", now - pending.enqueued_at
-                )
-            if pending.future.done():  # client went away (cancelled)
-                continue
-            if isinstance(result, Exception):
-                pending.future.set_exception(result)
-            else:
-                pending.future.set_result(result)
-        if observed:
-            _metrics.observe("service.batch.size", float(len(batch)))
-            _metrics.observe("service.batch.settle_s", settle_s)
-
-    # -- settlement (runs on the single pricing thread) -------------------
-
-    def _settle_batch(self, batch: Sequence[_PendingRequest]) -> List[object]:
-        observed = perfconfig.observability_enabled()
-        t0 = time.perf_counter()
-        t_cpu = time.process_time()
-        results: List[object] = [None] * len(batch)
-        done = [False] * len(batch)
-        columnar_flags = [False] * len(batch)
-        if self.columnar:
-            self._settle_columnar(batch, results, done, columnar_flags)
-        # Scalar remainder: group by load, one bill_many per group.
-        by_load: Dict[str, List[int]] = {}
-        for i, pending in enumerate(batch):
-            if not done[i]:
-                by_load.setdefault(pending.load, []).append(i)
-        for load_name, indices in by_load.items():
-            contract_names: List[str] = []
-            for i in indices:
-                if batch[i].contract not in contract_names:
-                    contract_names.append(batch[i].contract)
-            try:
-                bills = self.catalog.price_many(contract_names, load_name)
-            except Exception as exc:  # pragma: no cover - defensive
-                for i in indices:
-                    results[i] = ServiceError(f"batch settle failed: {exc}")
-                continue
-            by_contract = dict(zip(contract_names, bills))
-            for i in indices:
-                try:
-                    results[i] = encode_bill(
-                        by_contract[batch[i].contract], batch[i].detail
-                    )
-                except Exception as exc:  # pragma: no cover - defensive
-                    results[i] = ServiceError(f"bill encoding failed: {exc}")
-        if observed:
-            wall_s = time.perf_counter() - t0
-            cpu_s = time.process_time() - t_cpu
-            for i, pending in enumerate(batch):
-                encoded = results[i]
-                if isinstance(encoded, Exception):
-                    continue
-                record(
-                    RunManifest(
-                        kind="service_request",
-                        name=f"{pending.contract}|{pending.load}",
-                        created_unix=time.time(),
-                        wall_s=wall_s,
-                        cpu_s=cpu_s,
-                        seeds={"price": self.catalog.price_seed},
-                        params={
-                            "op": "price",
-                            "contract": pending.contract,
-                            "load": pending.load,
-                            "detail": pending.detail,
-                            "batch_size": len(batch),
-                            "columnar": columnar_flags[i],
-                        },
-                        payload={
-                            "total": encoded["total"],
-                            "currency": encoded["currency"],
-                        },
-                    )
-                )
-        return results
-
-    def _settle_columnar(self, batch, results, done, columnar_flags) -> None:
-        """Price large same-contract summary groups through bill_population."""
-        by_contract: Dict[str, List[int]] = {}
-        for i, pending in enumerate(batch):
-            if pending.detail != "summary":
-                continue
-            if self.catalog.contract(pending.contract).has_component("dynamic"):
-                continue  # per-load price series: stays on the scalar path
-            by_contract.setdefault(pending.contract, []).append(i)
-        for contract_name, indices in by_contract.items():
-            load_order: List[str] = []
-            for i in indices:
-                if batch[i].load not in load_order:
-                    load_order.append(batch[i].load)
-            if len(load_order) < self.columnar_min:
-                continue
-            try:
-                population = self.catalog.population(load_order)
-                pop_bills = self.catalog.engine.bill_population(
-                    population,
-                    self.catalog.contract(contract_name),
-                    self.catalog.periods,
-                )
-                encoded = {
-                    name: self._encode_site(pop_bills, site)
-                    for site, name in enumerate(load_order)
-                }
-            except ReproError:  # pragma: no cover - fall back to scalar
-                continue
-            for i in indices:
-                results[i] = dict(encoded[batch[i].load])
-                done[i] = True
-                columnar_flags[i] = True
-                self.n_columnar_bills += 1
-
-    def _encode_site(self, pop_bills, site: int) -> Dict[str, object]:
-        contract = pop_bills.contract
-        component_totals: Dict[str, float] = {}
-        for comp, matrix in zip(contract.components, pop_bills.component_matrices):
-            component_totals[comp.name] = component_totals.get(
-                comp.name, 0.0
-            ) + float(matrix.amounts[site].sum())
-        return {
-            "contract": contract.name,
-            "currency": contract.currency,
-            "total": float(pop_bills.totals()[site]),
-            "estimated": False,
-            "n_periods": len(pop_bills.periods),
-            "domain_totals": {
-                d.value: float(pop_bills.domain_totals(d)[site])
-                for d in ChargeDomain
-            },
-            "component_totals": component_totals,
-        }

@@ -11,6 +11,13 @@ each load's weak-value memo (see
 :func:`repro.contracts.settlement.plan_for`), so billing a catalog load
 is always a warm-path settle.
 
+Because the catalog is frozen, the answer to a ``price`` request is a
+pure function of (contract, load, detail).  The catalog therefore
+settles every pair once at construction — one ``bill_many`` per load —
+and keeps the wire bytes of both detail levels (:meth:`ServiceCatalog.quote`),
+so serving a quote settles, encodes and serializes nothing.
+:func:`encode_bill` is that canonical wire encoding.
+
 :func:`default_catalog` assembles the five archetype contracts of
 :mod:`repro.contracts.tariff_library` over a pool of synthetic
 supercomputing-center loads — the same generators the scenario studies
@@ -25,26 +32,90 @@ use — which is what ``python -m repro serve`` starts with.
 
 from __future__ import annotations
 
-import threading
+import json
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.scenarios import generate_price_series, synthetic_sc_load
 from ..contracts import tariff_library
 from ..contracts.billing import Bill, BillingEngine
-from ..contracts.columnar import SitePopulation
-from ..contracts.components import BillingContext
+from ..contracts.components import BillingContext, ChargeDomain
 from ..contracts.contract import Contract
 from ..contracts.settlement import SettlementPlan, plan_for
 from ..exceptions import ServiceError
 from ..timeseries.calendar import BillingPeriod
 from ..timeseries.series import PowerSeries
 
-__all__ = ["ServiceCatalog", "default_catalog"]
+__all__ = ["ServiceCatalog", "default_catalog", "encode_bill"]
 
 DAY_S = 86_400.0
 
-#: Stacked-population memo bound (distinct load-name tuples kept).
-_POPULATIONS_MAX = 32
+_DETAILS = ("summary", "full")
+
+
+def _check_detail(detail: str) -> None:
+    if detail not in _DETAILS:
+        raise ServiceError(f"unknown detail level {detail!r}; use one of {_DETAILS}")
+
+
+def encode_bill(bill: Bill, detail: str = "summary") -> Dict[str, object]:
+    """The canonical JSON-safe wire encoding of a settled bill.
+
+    ``detail="summary"`` carries the grand total, the three typology
+    branch totals and per-component totals; ``detail="full"`` adds every
+    period with its line items.  The encoding is pure float/str/dict, so
+    ``json.dumps(..., sort_keys=True)`` of two equal bills is
+    byte-identical — the property the service's differential test leans
+    on.
+
+    >>> from repro.contracts.tariff_library import swiss_post_tender
+    >>> from repro.timeseries.calendar import BillingPeriod
+    >>> from repro.timeseries.series import PowerSeries
+    >>> bill = BillingEngine().bill(
+    ...     swiss_post_tender("svc"),
+    ...     PowerSeries.constant(1000.0, 24, 3600.0),
+    ...     [BillingPeriod("d0", 0.0, 86400.0)])
+    >>> enc = encode_bill(bill)
+    >>> enc["contract"], enc["currency"], enc["n_periods"]
+    ('svc / post-tender formula', 'CHF', 1)
+    """
+    _check_detail(detail)
+    component_totals: Dict[str, float] = {}
+    for pb in bill.period_bills:
+        for item in pb.line_items:
+            component_totals[item.component] = (
+                component_totals.get(item.component, 0.0) + item.amount
+            )
+    out: Dict[str, object] = {
+        "contract": bill.contract.name,
+        "currency": bill.contract.currency,
+        "total": bill.total,
+        "estimated": bill.estimated,
+        "n_periods": len(bill.period_bills),
+        "domain_totals": {d.value: bill.domain_total(d) for d in ChargeDomain},
+        "component_totals": component_totals,
+    }
+    if detail == "full":
+        out["periods"] = [
+            {
+                "label": pb.period.label,
+                "total": pb.total,
+                "energy_kwh": pb.energy_kwh,
+                "peak_kw": pb.peak_kw,
+                "line_items": [
+                    {
+                        "component": item.component,
+                        "domain": item.domain.value,
+                        "amount": item.amount,
+                        "quantity": item.quantity,
+                        "unit": item.unit,
+                        "details": dict(item.details),
+                    }
+                    for item in pb.line_items
+                ],
+            }
+            for pb in bill.period_bills
+        ]
+    return out
 
 
 class ServiceCatalog:
@@ -57,8 +128,7 @@ class ServiceCatalog:
         (they are the wire identifiers).
     loads:
         Mapping of load name to metered :class:`~repro.timeseries.series.PowerSeries`.
-        Every load must share one metering grid (interval, start, length)
-        so batches can be stacked columnar.
+        Every load must share one metering grid (interval, start, length).
     periods:
         The billing periods every bill settles over.
     price_seed:
@@ -112,6 +182,7 @@ class ServiceCatalog:
         needs_prices = any(c.has_component("dynamic") for c in contracts)
         self._contexts: Dict[str, Optional[BillingContext]] = {}
         self._plans: Dict[str, SettlementPlan] = {}
+        self._quotes: Dict[Tuple[str, str, str], bytes] = {}
         for name, load in self._loads.items():
             ctx: Optional[BillingContext] = None
             if needs_prices:
@@ -122,8 +193,14 @@ class ServiceCatalog:
             # Built once, held strongly: the load's weak-value plan memo
             # now stays warm for the life of the catalog.
             self._plans[name] = plan_for(load, self._periods)
-        self._populations: Dict[Tuple[str, ...], SitePopulation] = {}
-        self._populations_lock = threading.Lock()
+            bills = self._engine.bill_many(
+                contracts, load, self._periods, context=ctx
+            )
+            for contract, bill in zip(contracts, bills):
+                for detail in _DETAILS:
+                    self._quotes[contract.name, name, detail] = json.dumps(
+                        encode_bill(bill, detail), sort_keys=True
+                    ).encode("utf-8")
 
     # -- lookups ----------------------------------------------------------
 
@@ -179,28 +256,12 @@ class ServiceCatalog:
         self.load(load_name)
         return self._plans[load_name]
 
-    def population(self, load_names: Sequence[str]) -> SitePopulation:
-        """A site-major stack of the named loads, memoized per name tuple.
-
-        Used by the micro-batcher's columnar mode; all catalog loads
-        share one metering grid by construction so stacking never fails.
-        """
-        key = tuple(load_names)
-        with self._populations_lock:
-            pop = self._populations.get(key)
-            if pop is None:
-                pop = SitePopulation.from_series([self.load(n) for n in key])
-                if len(self._populations) >= _POPULATIONS_MAX:
-                    self._populations.clear()
-                self._populations[key] = pop
-            return pop
-
     # -- pricing ----------------------------------------------------------
 
     def price(self, contract_name: str, load_name: str) -> Bill:
         """Settle one catalog load under one catalog contract.
 
-        This is the *direct-call reference path*: the served responses are
+        This is the *direct-call reference path*: every :meth:`quote` is
         bit-identical to encoding the bill this method returns (the
         differential test in ``tests/test_service.py`` enforces it).
         """
@@ -219,6 +280,27 @@ class ServiceCatalog:
             self._periods,
             context=self.context(load_name),
         )
+
+    def quote(
+        self, contract_name: str, load_name: str, detail: str = "summary"
+    ) -> bytes:
+        """The served answer to one ``price`` request, settled at construction.
+
+        Equal to ``json.dumps(encode_bill(self.price(contract_name,
+        load_name), detail), sort_keys=True)`` as UTF-8 bytes.  Unknown
+        detail levels and names raise a listing
+        :class:`~repro.exceptions.ServiceError`.
+
+        >>> cat = default_catalog(n_sites=1, days=7)
+        >>> name = cat.contract_names()[0]
+        >>> cat.quote(name, "site00") == json.dumps(
+        ...     encode_bill(cat.price(name, "site00")), sort_keys=True).encode()
+        True
+        """
+        _check_detail(detail)
+        self.contract(contract_name)
+        self.load(load_name)
+        return self._quotes[contract_name, load_name, detail]
 
     def describe(self) -> Dict[str, object]:
         """A JSON-safe summary of the catalog (the ``catalog`` wire op)."""

@@ -67,7 +67,7 @@ IDEMPOTENT_OPS = frozenset({"price", "price_many", "compare", "study", "tool"})
 #: Rejection codes that must *not* be pinned in the idempotency cache —
 #: a later retry of the same key may legitimately succeed.
 _RETRYABLE_CODES = frozenset(
-    {"rate_limited", "overloaded", "deadline_exceeded", "brownout"}
+    {"rate_limited", "overloaded", "deadline_exceeded", "brownout", "draining"}
 )
 
 

@@ -9,15 +9,16 @@ Requests on one connection may be pipelined; responses are matched by
 ``id`` and may arrive out of order.
 
 Operations: ``ping``, ``health`` (readiness + pricing-thread liveness),
-``catalog``, ``price`` (micro-batched single bill), ``price_many`` (one
-load under many contracts, with partial-result deadline semantics),
-``compare`` (paired comparison), ``study`` (a named experiment),
-``tool`` / ``tools`` (the MCP-style dispatch table), ``metrics``, and
-``shutdown`` (graceful drain).  Work ops pass through admission control
+``catalog``, ``price`` (one bill: the quote the catalog settled at
+startup), ``price_many`` (one load under many contracts, with
+partial-result deadline semantics), ``compare`` (paired comparison),
+``study`` (a named experiment), ``tool`` / ``tools`` (the MCP-style
+dispatch table), ``metrics``, and ``shutdown`` (graceful drain).  Work ops pass through admission control
 first; rejections surface the structured
 :class:`~repro.exceptions.AdmissionError` payload verbatim (``code`` is
 ``rate_limited`` / ``overloaded`` / ``deadline_exceeded``, plus
-``brownout`` when degraded mode sheds the op).  Malformed frames are
+``brownout`` when degraded mode sheds the op and ``draining`` when a
+work op arrives after shutdown began).  Malformed frames are
 answered with the taxonomy codes of
 :func:`~repro.service.resilience.parse_frame` (``frame_invalid_json``,
 ``frame_not_object``, ``frame_bad_op``, ``frame_bad_params``,
@@ -31,9 +32,9 @@ Resilience (see :mod:`repro.service.resilience` and docs/service.md):
 admission pressure engages brownout, shedding expensive ops while
 ``price`` summaries stay alive.
 
-All settlement runs on one dedicated pricing thread (shared with the
-micro-batcher), so serving never mutates the :mod:`repro.perfconfig`
-caches concurrently.
+All settlement on the request path runs on one dedicated pricing thread
+(owned by the :class:`~repro.service.batching.MicroBatcher`), so serving
+never mutates the :mod:`repro.perfconfig` caches concurrently.
 
 >>> import asyncio
 >>> from repro.service.catalog import default_catalog
@@ -69,8 +70,8 @@ from ..exceptions import (
 from ..observability import metrics as _metrics
 from ..observability.manifest import RunManifest, record
 from .admission import AdmissionController, AdmissionPolicy, Ticket
-from .batching import MicroBatcher, encode_bill
-from .catalog import ServiceCatalog, default_catalog
+from .batching import MicroBatcher
+from .catalog import ServiceCatalog, default_catalog, encode_bill
 from .resilience import (
     _RETRYABLE_CODES,
     BrownoutController,
@@ -106,9 +107,6 @@ class ContractPricingServer:
     host / port:
         Bind address; port ``0`` picks an ephemeral port (read it back
         from :attr:`address` after :meth:`start`).
-    window_s / max_batch / columnar:
-        Micro-batcher knobs (see
-        :class:`~repro.service.batching.MicroBatcher`).
     admission:
         The :class:`~repro.service.admission.AdmissionPolicy`; ``None``
         means no rate limit, 1024 pending, no deadline.
@@ -148,9 +146,6 @@ class ContractPricingServer:
         catalog: Optional[ServiceCatalog] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        window_s: float = 0.002,
-        max_batch: int = 256,
-        columnar: bool = False,
         admission: Optional[AdmissionPolicy] = None,
         registry: Optional[ToolRegistry] = None,
         drain_s: float = 5.0,
@@ -165,9 +160,7 @@ class ContractPricingServer:
         self.catalog = catalog if catalog is not None else default_catalog()
         self._host = host
         self._port = port
-        self.batcher = MicroBatcher(
-            self.catalog, window_s=window_s, max_batch=max_batch, columnar=columnar
-        )
+        self.batcher = MicroBatcher(self.catalog)
         self.admission = AdmissionController(admission)
         self.registry = (
             registry if registry is not None else default_registry(self.catalog)
@@ -211,7 +204,7 @@ class ContractPricingServer:
         return host, port
 
     async def start(self) -> None:
-        """Bind the socket and start the micro-batcher."""
+        """Bind the socket and start the pricing thread."""
         if self._server is not None:
             raise ServiceError("server already started")
         await self.batcher.start()
@@ -232,8 +225,10 @@ class ContractPricingServer:
         Stops accepting connections first, gives in-flight requests
         ``drain_s`` seconds (default: the server's ``drain_s``) to
         finish, cancels the stragglers, then closes every connection and
-        drains the micro-batcher.  Idempotent: concurrent and repeated
-        calls await the same drain and return the same report.
+        stops the pricing thread.  Work ops read after the drain began
+        are answered with a retryable ``draining`` error and never reach
+        admission.  Idempotent: concurrent and repeated calls await the
+        same drain and return the same report.
         """
         if self._stop_task is None:
             if self._server is None:
@@ -340,7 +335,15 @@ class ContractPricingServer:
             writer.close()
 
     async def _write(self, writer, write_lock, response: Dict[str, object]) -> None:
-        payload = (json.dumps(response, sort_keys=True) + "\n").encode("utf-8")
+        result = response.get("result")
+        if isinstance(result, bytes):
+            # A quote is already sorted-key JSON and the envelope's keys
+            # sort "id" < "ok" < "result", so the splice is the bytes
+            # json.dumps(response, sort_keys=True) would produce.
+            request_id = json.dumps(response["id"], sort_keys=True).encode("utf-8")
+            payload = b'{"id": %b, "ok": true, "result": %b}\n' % (request_id, result)
+        else:
+            payload = (json.dumps(response, sort_keys=True) + "\n").encode("utf-8")
         async with write_lock:
             if writer.is_closing():
                 return
@@ -351,6 +354,8 @@ class ContractPricingServer:
                 pass
 
     async def _handle_line(self, line: bytes, writer, write_lock) -> None:
+        observed = perfconfig.observability_enabled()
+        t0 = time.perf_counter() if observed else 0.0
         request_id: object = None
         try:
             request_id, op, params, idem = parse_frame(line)
@@ -376,6 +381,8 @@ class ContractPricingServer:
                 "error": _error(exc.code, str(exc)),
             }
         await self._write(writer, write_lock, response)
+        if observed:
+            _metrics.observe("service.request.latency_s", time.perf_counter() - t0)
 
     async def _dispatch(
         self, op, handler, params, request_id, idem=None
@@ -417,8 +424,19 @@ class ContractPricingServer:
     async def _dispatch_new(self, op, handler, params, request_id) -> Dict[str, object]:
         ticket: Optional[Ticket] = None
         timed_out = False
+        cancelled = False
         try:
             if op in self._gated:
+                if self._draining:
+                    return {
+                        "id": request_id,
+                        "ok": False,
+                        "error": _error(
+                            "draining",
+                            f"server is draining; {op!r} was not admitted — "
+                            "retry against a running server",
+                        ),
+                    }
                 if self.brownout.observe(
                     self.admission.reject_streak()
                 ) and self.brownout.should_shed(op, params):
@@ -444,6 +462,7 @@ class ContractPricingServer:
                 "error": _error("invalid_params", str(exc)),
             }
         except asyncio.CancelledError:
+            cancelled = True
             raise
         except Exception as exc:  # pragma: no cover - defensive
             return {
@@ -453,7 +472,7 @@ class ContractPricingServer:
             }
         finally:
             if ticket is not None:
-                ticket.finish(timed_out=timed_out)
+                ticket.finish(timed_out=timed_out, cancelled=cancelled)
 
     # -- executor plumbing -------------------------------------------------
 
@@ -707,7 +726,8 @@ class ServiceClient:
     ) -> object:
         """Send one request; returns ``result`` or raises the wire error.
 
-        Admission rejections (including brownout sheds) come back as
+        Admission rejections (including brownout sheds and requests
+        refused while the server drains) come back as
         :class:`~repro.exceptions.AdmissionError` (structured payload
         preserved); every other error as
         :class:`~repro.exceptions.ServiceError`.
@@ -721,6 +741,7 @@ class ServiceClient:
             "overloaded",
             "deadline_exceeded",
             "brownout",
+            "draining",
         ):
             raise AdmissionError(error)
         raise ServiceError(f"{error.get('code')}: {error.get('message')}")
@@ -742,9 +763,6 @@ class ServiceClient:
 def serve(
     host: str = "127.0.0.1",
     port: int = 8765,
-    window_ms: float = 2.0,
-    max_batch: int = 256,
-    columnar: bool = False,
     rate_per_s: Optional[float] = None,
     burst: int = 16,
     max_pending: int = 1024,
@@ -778,9 +796,6 @@ def serve(
             catalog,
             host=host,
             port=port,
-            window_s=window_ms / 1000.0,
-            max_batch=max_batch,
-            columnar=columnar,
             admission=policy,
             drain_s=drain_s,
         )

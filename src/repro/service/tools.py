@@ -32,8 +32,7 @@ from ..exceptions import ServiceError
 from ..observability import metrics as _metrics
 from ..observability.manifest import last_manifest
 from ..reporting.experiments import experiment_ids, run_experiment
-from .batching import encode_bill
-from .catalog import ServiceCatalog
+from .catalog import ServiceCatalog, encode_bill
 
 __all__ = ["ToolSpec", "ToolRegistry", "default_registry", "json_safe"]
 

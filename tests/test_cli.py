@@ -156,3 +156,28 @@ class TestFabricSubcommand:
         create_sweep(fabric, [1, 2], n_shards=1, params={"kind": "other"})
         assert main(["sweep", "--fabric", str(fabric), "--worker"]) == 2
         assert "chaos_sweep" in capsys.readouterr().err
+
+
+class TestServeSubcommand:
+    """``python -m repro serve`` keeps its retired batching flags as no-ops."""
+
+    RETIRED = ("--window-ms", "--max-batch", "--columnar")
+
+    def test_retired_flags_listed_in_help(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        for flag in self.RETIRED:
+            assert flag in out
+
+    def test_retired_flags_accepted_and_ignored(self, monkeypatch):
+        seen = {}
+        monkeypatch.setattr(
+            "repro.service.server.serve", lambda **kwargs: seen.update(kwargs)
+        )
+        argv = ["serve", "--port", "0", "--window-ms", "1", "--max-batch", "8",
+                "--columnar"]
+        assert main(argv) == 0
+        assert seen["port"] == 0
+        assert not {"window_ms", "max_batch", "columnar"} & set(seen)

@@ -2,7 +2,8 @@
 
 Three contracts matter most and each gets a differential test:
 
-* **Bit-identical serving** — a served ``price`` response is the exact
+* **Bit-identical serving** — every quote the catalog settles at startup,
+  and so every served ``price`` response, is the exact
   ``json.dumps(..., sort_keys=True)`` bytes of encoding the direct
   :meth:`~repro.service.catalog.ServiceCatalog.price` call.
 * **Deterministic admission** — the token bucket, load shedding and
@@ -40,7 +41,6 @@ from repro.service import (
 )
 from repro.service.tools import json_safe
 
-NORDIC = "svc / spot passthrough"
 SWISS = "svc / post-tender formula"
 
 
@@ -211,7 +211,7 @@ class TestAdmission:
         with pytest.raises(AdmissionError) as exc_info:  # bucket is dry now
             ctl.admit()
         assert exc_info.value.payload["code"] == "rate_limited"
-        second.finish()
+        second.finish(cancelled=True)
         acct = ctl.accounting()
         assert acct["n_submitted"] == 4
         assert (
@@ -220,9 +220,13 @@ class TestAdmission:
         )
         assert (
             acct["n_admitted"]
-            == acct["n_completed"] + acct["n_timed_out"] + acct["pending"]
+            == acct["n_completed"]
+            + acct["n_timed_out"]
+            + acct["n_cancelled"]
+            + acct["pending"]
         )
-        assert acct["n_timed_out"] == 1 and acct["pending"] == 0
+        assert acct["n_timed_out"] == 1 and acct["n_cancelled"] == 1
+        assert acct["pending"] == 0
 
     def test_ticket_deadline_and_expiry(self):
         clock = _SteppingClock(step=0.0, start=100.0)
@@ -248,31 +252,24 @@ class TestAdmission:
 
 
 # ---------------------------------------------------------------------------
-# micro-batcher
+# quote table + micro-batcher
+
+
+class TestQuoteTable:
+    def test_every_quote_equals_the_direct_encoding(self, catalog):
+        for detail in ("summary", "full"):
+            for c in catalog.contract_names():
+                for l in catalog.load_names():
+                    direct = encode_bill(catalog.price(c, l), detail)
+                    assert catalog.quote(c, l, detail) == json.dumps(
+                        direct, sort_keys=True
+                    ).encode("utf-8")
 
 
 class TestMicroBatcher:
-    def test_concurrent_requests_coalesce(self, catalog):
-        async def run():
-            batcher = MicroBatcher(catalog, window_s=0.05, max_batch=64)
-            await batcher.start()
-            jobs = [
-                batcher.price(c, l)
-                for c in catalog.contract_names()
-                for l in catalog.load_names()
-            ]
-            encs = await asyncio.gather(*jobs)
-            await batcher.stop()
-            return batcher, encs
-
-        batcher, encs = asyncio.run(run())
-        assert len(encs) == 20
-        assert batcher.n_bills == 20
-        assert batcher.n_batches < 20  # coalesced, not one settle per request
-
     def test_batched_result_bit_identical_to_direct(self, catalog):
         async def run():
-            batcher = MicroBatcher(catalog, window_s=0.01)
+            batcher = MicroBatcher(catalog)
             await batcher.start()
             served = await asyncio.gather(
                 *[
@@ -292,17 +289,37 @@ class TestMicroBatcher:
             for c in catalog.contract_names()
             for l in catalog.load_names()
         ]
+        assert len(served) == len(direct) == 40
         for s, d in zip(served, direct):
-            assert json.dumps(s, sort_keys=True) == json.dumps(d, sort_keys=True)
+            assert s == json.dumps(d, sort_keys=True).encode("utf-8")
+
+    def test_n_bills_counts_answered_quotes(self, catalog):
+        async def run():
+            batcher = MicroBatcher(catalog)
+            await batcher.start()
+            for load in catalog.load_names():
+                await batcher.price(SWISS, load)
+            with pytest.raises(ServiceError):
+                batcher.price("nope", "site00")
+            await batcher.stop()
+            return batcher
+
+        batcher = asyncio.run(run())
+        assert batcher.n_bills == len(catalog.load_names())
+        assert batcher.n_batches == batcher.n_bills  # each quote answered alone
+        assert batcher.settle_s_total == 0.0
 
     def test_unknown_names_fail_fast(self, catalog):
         async def run():
-            batcher = MicroBatcher(catalog, window_s=0.0)
+            batcher = MicroBatcher(catalog)
             await batcher.start()
             with pytest.raises(ServiceError, match="unknown contract"):
                 await batcher.price("nope", "site00")
-            with pytest.raises(ServiceError, match="detail"):
-                await batcher.price(SWISS, "site00", "verbose")
+            with pytest.raises(ServiceError, match="unknown load"):
+                await batcher.price(SWISS, "nope")
+            for detail in ("verbose", ["full"]):
+                with pytest.raises(ServiceError, match="detail"):
+                    await batcher.price(SWISS, "site00", detail)
             await batcher.stop()
 
         asyncio.run(run())
@@ -315,44 +332,13 @@ class TestMicroBatcher:
 
         asyncio.run(run())
 
-    def test_columnar_mode_equivalent_within_tolerance(self, catalog):
-        async def run():
-            batcher = MicroBatcher(
-                catalog, window_s=0.05, columnar=True, columnar_min=3
-            )
-            await batcher.start()
-            encs = await asyncio.gather(
-                *[batcher.price(SWISS, l) for l in catalog.load_names()]
-            )
-            dyn = await asyncio.gather(
-                *[batcher.price(NORDIC, l) for l in catalog.load_names()]
-            )
-            await batcher.stop()
-            return batcher, encs, dyn
-
-        batcher, encs, dyn = asyncio.run(run())
-        assert batcher.n_columnar_bills >= 4  # the non-dynamic group went columnar
-        for load_name, enc in zip(catalog.load_names(), encs):
-            direct = encode_bill(catalog.price(SWISS, load_name))
-            assert enc["total"] == pytest.approx(direct["total"], rel=1e-9, abs=1e-9)
-            for domain, total in direct["domain_totals"].items():
-                assert enc["domain_totals"][domain] == pytest.approx(
-                    total, rel=1e-9, abs=1e-9
-                )
-        # dynamic contracts always stay on the bit-identical scalar path
-        for load_name, enc in zip(catalog.load_names(), dyn):
-            direct = encode_bill(catalog.price(NORDIC, load_name))
-            assert json.dumps(enc, sort_keys=True) == json.dumps(
-                direct, sort_keys=True
-            )
-
 
 # ---------------------------------------------------------------------------
 # server protocol
 
 
 async def _with_server(catalog, fn, **server_kwargs):
-    server = ContractPricingServer(catalog, window_s=0.005, **server_kwargs)
+    server = ContractPricingServer(catalog, **server_kwargs)
     await server.start()
     client = await ServiceClient.connect(*server.address)
     try:
@@ -402,6 +388,69 @@ class TestServerProtocol:
         assert len(served) == 40
         for s, d in zip(served, direct):
             assert json.dumps(s, sort_keys=True) == json.dumps(d, sort_keys=True)
+
+    def test_served_price_line_is_the_sorted_key_envelope(self, catalog):
+        params = {"contract": SWISS, "load": "site01", "detail": "full"}
+        frames = [
+            {"id": 7, "op": "price", "params": params},
+            {"id": "req-\u00e9", "op": "price", "params": params},
+            {"id": None, "op": "price", "params": params},
+            {"id": {"b": 1, "a": [2]}, "op": "price", "params": params},
+            {"id": 8, "op": "price", "params": params, "idem": "k"},
+            {"id": 9, "op": "price", "params": params, "idem": "k"},  # replay
+        ]
+
+        async def scenario(server, client):
+            reader, writer = await asyncio.open_connection(
+                *server.address, limit=1 << 20
+            )
+            lines = []
+            try:
+                for frame in frames:
+                    writer.write((json.dumps(frame) + "\n").encode("utf-8"))
+                    await writer.drain()
+                    lines.append(await asyncio.wait_for(reader.readline(), 5.0))
+            finally:
+                writer.close()
+            return lines, server.idempotency.stats()
+
+        lines, stats = asyncio.run(_with_server(catalog, scenario))
+        result = encode_bill(catalog.price(SWISS, "site01"), "full")
+        for frame, line in zip(frames, lines):
+            envelope = {"id": frame["id"], "ok": True, "result": result}
+            assert line == (json.dumps(envelope, sort_keys=True) + "\n").encode()
+        assert stats["n_replayed"] == 1
+
+    def test_serving_price_settles_nothing(self, catalog, monkeypatch):
+        calls = []
+
+        def counting(name):
+            original = getattr(BillingEngine, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls.append(name)
+                return original(self, *args, **kwargs)
+
+            return wrapper
+
+        async def scenario(server, client):
+            for name in ("bill", "bill_many"):
+                monkeypatch.setattr(BillingEngine, name, counting(name))
+            params = [
+                {"contract": c, "load": l, "detail": detail}
+                for detail in ("summary", "full")
+                for c in catalog.contract_names()
+                for l in catalog.load_names()
+            ]
+            return await asyncio.gather(
+                *[client.call("price", p) for p in (params * 3)[:100]]
+            )
+
+        served = asyncio.run(_with_server(catalog, scenario))
+        assert len(served) == 100
+        assert calls == []
+        catalog.price(SWISS, "site00")  # the counter does see a direct settle
+        assert "bill" in calls
 
     def test_price_many_and_compare_and_study(self, catalog):
         async def scenario(server, client):
@@ -525,10 +574,9 @@ class TestManifestReconciliation:
             assert manifest.payload["total"] == enc["total"]  # exact, not approx
             assert manifest.payload["currency"] == enc["currency"]
             assert manifest.params["op"] == "price"
-        # the batch settle also populated the service metrics
+        # every request's latency landed in the service histogram
         histograms = metrics_mod.registry().snapshot()["histograms"]
         assert histograms["service.request.latency_s"]["count"] == 20.0
-        assert histograms["service.batch.size"]["count"] >= 1.0
 
     def test_no_manifests_without_observability(self, catalog):
         async def scenario(server, client):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 import time
 
 import pytest
@@ -76,7 +77,7 @@ def _nap_registry(catalog):
 
 
 async def _start(catalog, **kwargs):
-    server = ContractPricingServer(catalog, window_s=0.002, **kwargs)
+    server = ContractPricingServer(catalog, **kwargs)
     await server.start()
     return server
 
@@ -118,14 +119,61 @@ class TestGracefulDrain:
             with pytest.raises((ServiceConnectionError, ServiceError)):
                 await pending
             await client.close()
-            return report
+            return report, server.admission.accounting()
 
-        report = asyncio.run(run())
+        report, acct = asyncio.run(run())
         assert report.n_inflight_at_drain == 1
         assert report.n_cancelled == 1
         assert report.n_completed_during_drain == 0
         assert report.conserved()
         assert report.deadline_s == 0.1
+        # the cancelled request is not counted as completed by admission
+        assert acct["n_cancelled"] == report.n_cancelled
+        assert acct["n_completed"] == 0 and acct["pending"] == 0
+
+    def test_work_frames_read_during_drain_never_reach_admission(self, catalog):
+        async def run():
+            server = await _start(catalog)
+            blocker = threading.Event()
+            params = {"contract": CONTRACT, "load": "site00"}
+            try:
+                # busy pricing thread: the compare stays in flight
+                server.batcher._executor.submit(blocker.wait, 10.0)
+                client = await ServiceClient.connect(*server.address)
+                compare = asyncio.ensure_future(
+                    client.call("compare", {"load": "site00"})
+                )
+                await asyncio.sleep(0.05)
+                stopping = asyncio.ensure_future(server.stop(drain_s=2.0))
+                await asyncio.sleep(0.05)  # stop() is now mid-drain
+                refused = await asyncio.wait_for(
+                    asyncio.gather(
+                        *[
+                            client.call("price", params, idem=f"d{i}" if i else None)
+                            for i in range(10)
+                        ],
+                        return_exceptions=True,
+                    ),
+                    timeout=5.0,
+                )
+            finally:
+                blocker.set()
+            answered = await compare
+            report = await stopping
+            await client.close()
+            return (refused, answered, report, server.admission.accounting(),
+                    server.idempotency.stats())
+
+        refused, answered, report, acct, idem = asyncio.run(run())
+        assert all(isinstance(r, AdmissionError) for r in refused)
+        assert {r.payload["code"] for r in refused} == {"draining"}
+        assert answered["cheapest"] == answered["ranked"][0]["contract"]
+        assert acct["n_submitted"] == acct["n_admitted"] == 1
+        assert acct["n_completed"] == 1 and acct["pending"] == 0
+        assert idem["size"] == 0  # retryable: never pinned
+        assert report.n_inflight_at_drain == 1
+        assert report.n_completed_during_drain == 1
+        assert report.conserved()
 
     def test_draining_server_refuses_new_connections(self, catalog):
         async def run():
@@ -416,7 +464,11 @@ class TestClientFailFast:
 
         acct = asyncio.run(run())
         assert acct["pending"] == 0  # no leaked tickets
-        assert acct["n_admitted"] == acct["n_completed"] + acct["n_timed_out"]
+        assert acct["n_cancelled"] == 3  # every vanished peer's request
+        assert (
+            acct["n_admitted"]
+            == acct["n_completed"] + acct["n_timed_out"] + acct["n_cancelled"]
+        )
         assert (
             acct["n_submitted"]
             == acct["n_admitted"] + acct["n_rate_limited"] + acct["n_overloaded"]

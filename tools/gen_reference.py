@@ -110,9 +110,10 @@ _SVC_HEADER = """\
      Regenerate with: PYTHONPATH=src python tools/gen_reference.py -->
 
 This manual is generated from the docstrings of the public service-layer
-API: the frozen pricing catalog (:mod:`repro.service.catalog`), admission
-control (:mod:`repro.service.admission`), the micro-batcher and wire
-encodings (:mod:`repro.service.batching`), the tool registry
+API: the frozen pricing catalog with its startup-settled quotes and the
+wire encoding (:mod:`repro.service.catalog`), admission control
+(:mod:`repro.service.admission`), the ``price`` front and the pricing
+thread (:mod:`repro.service.batching`), the tool registry
 (:mod:`repro.service.tools`), the line-delimited JSON server and
 client (:mod:`repro.service.server`), and the resilience layer — drain
 reports, frame taxonomy, brownout, idempotency, self-healing client
