@@ -100,8 +100,6 @@ def _run_sweep(args) -> int:
             horizon_days=params["horizon_days"],
             peak_mw=params["peak_mw"],
             bill_error_tolerance=params["bill_error_tolerance"],
-            fastpath=params["fastpath"],
-            use_world_cache=params["use_world_cache"],
             supervised=True,
             journal=args.resume,
             parallel=False if args.serial else None,

@@ -200,8 +200,8 @@ def generate_price_series(
 
     Default-model realizations are cached per ``(load, price_seed)`` (the
     generator is deterministic), so sweeps that rebill one load do not pay
-    for price synthesis per scenario.  Disable via
-    :func:`repro.perfconfig.no_caching`.
+    for price synthesis per scenario (:func:`repro.perfconfig.clear_caches`
+    drops them).
 
     Parameters
     ----------
@@ -238,9 +238,8 @@ def generate_price_series(
     """
     n_hours = int(np.ceil(load.duration_s / SECONDS_PER_HOUR))
     observed = perfconfig.observability_enabled()
-    if price_model is not None or not perfconfig.caching_enabled():
-        model = price_model or PriceModel()
-        return model.generate(n_hours, 3600.0, load.start_s, seed=price_seed)
+    if price_model is not None:
+        return price_model.generate(n_hours, 3600.0, load.start_s, seed=price_seed)
     with _PRICE_CACHE_LOCK:
         try:
             per_load = _PRICE_CACHE.setdefault(load, {})

@@ -333,10 +333,9 @@ class BillingEngine:
         metadata (``estimated`` / ``data_quality``) stays on the
         :class:`Bill` wrapper, outside the memo.
         """
-        caching = perfconfig.caching_enabled()
         observed = perfconfig.observability_enabled()
-        period_bills = plan.settlement_for(contract, context) if caching else None
-        if observed and caching:
+        period_bills = plan.settlement_for(contract, context)
+        if observed:
             _metrics.inc(
                 "settlement.memo.miss" if period_bills is None else "settlement.memo.hit"
             )
@@ -370,8 +369,7 @@ class BillingEngine:
                         peak_kw=plan.period_peak_kw(k),
                     )
                 )
-            if caching:
-                plan.store_settlement(contract, context, period_bills)
+            plan.store_settlement(contract, context, period_bills)
         bill = Bill(contract, period_bills, estimated=estimated, data_quality=data_quality)
         bill._plan = plan
         return bill

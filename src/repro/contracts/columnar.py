@@ -487,8 +487,6 @@ def population_plan_for(
     >>> a is b
     True
     """
-    if not perfconfig.caching_enabled():
-        return PopulationPlan(population, periods)
     observed = perfconfig.observability_enabled()
     periods_key = tuple(periods)
     with _PLAN_MEMO_LOCK:

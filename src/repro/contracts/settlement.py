@@ -319,8 +319,6 @@ def plan_for(load: PowerSeries, periods: Sequence[BillingPeriod]) -> SettlementP
     a dead load — or a plan nobody's bill holds any more — frees its
     geometry immediately instead of pinning it through a global table.
     """
-    if not perfconfig.caching_enabled():
-        return SettlementPlan(load, periods)
     observed = perfconfig.observability_enabled()
     periods_key = tuple(periods)
     with _PLAN_MEMO_LOCK:

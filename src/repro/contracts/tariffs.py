@@ -158,19 +158,17 @@ class TOUTariff(ContractComponent):
 
         Memoized per load geometry ``(interval_s, start_s, n)`` — TOU/
         seasonal masks are computed once per geometry, not once per billing
-        period per bill.  The returned array is read-only when cached.
+        period per bill.  The returned array is read-only.
         """
         key = (series.interval_s, series.start_s, len(series))
-        caching = perfconfig.caching_enabled()
         observed = perfconfig.observability_enabled()
-        if caching:
-            cached = self._rates_cache.get(key)
-            if cached is not None:
-                if observed:
-                    _metrics.inc("tariff.rate_cache.hit")
-                return cached
+        cached = self._rates_cache.get(key)
+        if cached is not None:
             if observed:
-                _metrics.inc("tariff.rate_cache.miss")
+                _metrics.inc("tariff.rate_cache.hit")
+            return cached
+        if observed:
+            _metrics.inc("tariff.rate_cache.miss")
         calendar = SimCalendar.for_series(series)
         n = len(series)
         rates = np.full(n, self.default_rate_per_kwh)
@@ -179,11 +177,10 @@ class TOUTariff(ContractComponent):
             m = window.mask(calendar, n) & ~assigned
             rates[m] = rate
             assigned |= m
-        if caching:
-            rates.setflags(write=False)
-            if len(self._rates_cache) >= _RATES_CACHE_MAX:
-                self._rates_cache.clear()
-            self._rates_cache[key] = rates
+        rates.setflags(write=False)
+        if len(self._rates_cache) >= _RATES_CACHE_MAX:
+            self._rates_cache.clear()
+        self._rates_cache[key] = rates
         return rates
 
     def _line_item(self, amount: float, energy: float) -> LineItem:

@@ -83,11 +83,10 @@ def collect_versions() -> Dict[str, str]:
 def perfconfig_state() -> Dict[str, bool]:
     """The :mod:`repro.perfconfig` switch state a run executed under.
 
-    >>> perfconfig_state()["caching_enabled"]
-    True
+    >>> perfconfig_state()
+    {'observability_enabled': False}
     """
     return {
-        "caching_enabled": perfconfig.caching_enabled(),
         "observability_enabled": perfconfig.observability_enabled(),
     }
 

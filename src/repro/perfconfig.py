@@ -11,12 +11,11 @@ several memoization layers:
   (``energy_per_interval_kwh`` / ``times_s``);
 * the global settlement-plan cache shared across bills of one load.
 
-All of those sites consult :func:`caching_enabled` before reading or
-writing a cache, so the whole stack can be switched off at once.  The only
-intended consumer of the off switch is differential testing and the
-old-vs-new settlement benchmark (``benchmarks/bench_settlement_fastpath.py``),
-which must time the *legacy* per-period path without any of the new caches
-silently accelerating it.
+Every layer registers a clearer here, so :func:`clear_caches` empties the
+whole stack at once.  The caches are a speedup, never a semantic
+dependency: a bill settled right after :func:`clear_caches` and the same
+bill settled again warm are bit-identical (the cold == warm law pinned by
+``tests/test_settlement_fastpath.py``).
 
 Since the observability layer landed, this switchboard also carries the
 **observability master switch**: :func:`observability_enabled` gates every
@@ -36,8 +35,6 @@ from contextlib import contextmanager
 from typing import Iterator, List
 
 __all__ = [
-    "caching_enabled",
-    "no_caching",
     "register_cache_clearer",
     "clear_caches",
     "observability_enabled",
@@ -45,21 +42,11 @@ __all__ = [
     "observing",
 ]
 
-_CACHING_ENABLED: bool = True
 _OBSERVABILITY_ENABLED: bool = False
 
 #: Callables that drop every entry of one cache layer (registered by the
 #: layers themselves at import time; called by :func:`clear_caches`).
 _CACHE_CLEARERS: List = []
-
-
-def caching_enabled() -> bool:
-    """True when the settlement caching layers are active (the default).
-
-    >>> caching_enabled()
-    True
-    """
-    return _CACHING_ENABLED
 
 
 def register_cache_clearer(fn) -> None:
@@ -86,31 +73,6 @@ def clear_caches() -> None:
     """
     for fn in _CACHE_CLEARERS:
         fn()
-
-
-@contextmanager
-def no_caching() -> Iterator[None]:
-    """Disable and empty all settlement caches for the duration of the block.
-
-    Used by the differential tests and the settlement benchmark to time the
-    legacy path as it behaved before the fast path existed.  Caches are
-    cleared on entry *and* exit so no stale state leaks either way.
-
-    >>> with no_caching():
-    ...     caching_enabled()
-    False
-    >>> caching_enabled()
-    True
-    """
-    global _CACHING_ENABLED
-    previous = _CACHING_ENABLED
-    _CACHING_ENABLED = False
-    clear_caches()
-    try:
-        yield
-    finally:
-        _CACHING_ENABLED = previous
-        clear_caches()
 
 
 # -- observability master switch ---------------------------------------------

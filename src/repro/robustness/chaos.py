@@ -261,7 +261,7 @@ def _build_esp(horizon_days: int, seed: int) -> Tuple[ESP, PowerSeries]:
     return esp, system_load
 
 
-def _build_facility(peak_mw: float, use_cache: bool = True) -> Tuple[DRController, Contract]:
+def _build_facility(peak_mw: float) -> Tuple[DRController, Contract]:
     """The (controller, contract) pair for one facility size.
 
     Cached per ``peak_mw``: the controller's strategy/cost/checkpoint
@@ -272,23 +272,16 @@ def _build_facility(peak_mw: float, use_cache: bool = True) -> Tuple[DRControlle
     memo on :class:`~repro.contracts.settlement.SettlementPlan` recognise
     the chaos true-up cycle's repeat settlements.
     """
-    if use_cache and perfconfig.caching_enabled():
-        observed = perfconfig.observability_enabled()
-        key = float(peak_mw)
-        with _FACILITY_CACHE_LOCK:
-            cached = _FACILITY_CACHE.get(key)
-        if cached is not None:
-            if observed:
-                _metrics.inc("chaos.facility_cache.hit")
-            return cached
+    observed = perfconfig.observability_enabled()
+    key = float(peak_mw)
+    with _FACILITY_CACHE_LOCK:
+        cached = _FACILITY_CACHE.get(key)
+    if cached is not None:
         if observed:
-            _metrics.inc("chaos.facility_cache.miss")
-        facility = _build_facility(peak_mw, use_cache=False)
-        with _FACILITY_CACHE_LOCK:
-            if len(_FACILITY_CACHE) >= _FACILITY_CACHE_MAX:
-                _FACILITY_CACHE.clear()
-            _FACILITY_CACHE[key] = facility
-        return facility
+            _metrics.inc("chaos.facility_cache.hit")
+        return cached
+    if observed:
+        _metrics.inc("chaos.facility_cache.miss")
     machine = Supercomputer("chaos SC", n_nodes=4000)
     controller = DRController(
         machine=machine,
@@ -304,7 +297,12 @@ def _build_facility(peak_mw: float, use_cache: bool = True) -> Tuple[DRControlle
             EmergencyDRObligation(noncompliance_penalty_per_kwh=0.5),
         ],
     )
-    return controller, contract
+    facility = (controller, contract)
+    with _FACILITY_CACHE_LOCK:
+        if len(_FACILITY_CACHE) >= _FACILITY_CACHE_MAX:
+            _FACILITY_CACHE.clear()
+        _FACILITY_CACHE[key] = facility
+    return facility
 
 
 def _weekly_periods(horizon_days: int) -> List[BillingPeriod]:
@@ -323,7 +321,7 @@ def _weekly_periods(horizon_days: int) -> List[BillingPeriod]:
 # same emergency dispatches.  Memoizing that tuple turns the 9-point default
 # sweep's 9 world constructions into 1.  ``esp.dispatch_events`` does not
 # mutate the ESP and every cached object is treated as immutable downstream,
-# so sharing is safe; the cache honors the :mod:`repro.perfconfig` switch.
+# so sharing is safe; :func:`repro.perfconfig.clear_caches` empties it.
 
 _WORLD_CACHE: Dict[Tuple[int, float, int], Tuple] = {}
 _WORLD_CACHE_LOCK = threading.Lock()
@@ -357,22 +355,18 @@ def _clear_world_cache() -> None:
 perfconfig.register_cache_clearer(_clear_world_cache)
 
 
-def _build_world(
-    horizon_days: int, peak_mw: float, seed: int, use_cache: bool = True
-) -> Tuple:
+def _build_world(horizon_days: int, peak_mw: float, seed: int) -> Tuple:
     """(esp, sc_load, baseline_kw, emergencies) for one world tuple."""
     key = (int(horizon_days), float(peak_mw), int(seed))
-    use_cache = use_cache and perfconfig.caching_enabled()
-    if use_cache:
-        observed = perfconfig.observability_enabled()
-        with _WORLD_CACHE_LOCK:
-            world = _WORLD_CACHE.get(key)
-        if world is not None:
-            if observed:
-                _metrics.inc("chaos.world_cache.hit")
-            return world
+    observed = perfconfig.observability_enabled()
+    with _WORLD_CACHE_LOCK:
+        world = _WORLD_CACHE.get(key)
+    if world is not None:
         if observed:
-            _metrics.inc("chaos.world_cache.miss")
+            _metrics.inc("chaos.world_cache.hit")
+        return world
+    if observed:
+        _metrics.inc("chaos.world_cache.miss")
     horizon_s = horizon_days * DAY_S
     esp, system_load = _build_esp(horizon_days, seed)
     sc_load = synthetic_sc_load(
@@ -384,11 +378,10 @@ def _build_world(
         e for e in dispatched["emergency"] if e.end_s <= horizon_s and e.start_s >= 0
     )
     world = (esp, sc_load, baseline_kw, emergencies)
-    if use_cache:
-        with _WORLD_CACHE_LOCK:
-            if len(_WORLD_CACHE) >= _WORLD_CACHE_MAX:
-                _WORLD_CACHE.clear()
-            _WORLD_CACHE[key] = world
+    with _WORLD_CACHE_LOCK:
+        if len(_WORLD_CACHE) >= _WORLD_CACHE_MAX:
+            _WORLD_CACHE.clear()
+        _WORLD_CACHE[key] = world
     return world
 
 
@@ -402,17 +395,13 @@ def run_scenario(
     bill_error_tolerance: float = 0.03,
     estimation_method: EstimationMethod = EstimationMethod.LINEAR_INTERPOLATION,
     delivery_policy: Optional[DeliveryPolicy] = None,
-    use_world_cache: bool = True,
-    fastpath: bool = True,
 ) -> ChaosRunResult:
     """Run one fault-intensity point end-to-end.
 
     ``bill_error_tolerance`` is a dimensionless relative-error fraction in
     [0, 1] parameterizing the bounded-error invariant; the acceptance
     figure (estimated bills within 3 % of fault-free at ≤ 5 % dropout)
-    uses the default.  ``use_world_cache=False`` forces a
-    fresh world construction and ``fastpath=False`` the legacy settlement
-    loop (the benchmarks use both to time the pre-optimization path).
+    uses the default.
 
     Observability (when enabled): the point runs inside a
     ``chaos.scenario`` span — the billing engine's ``settle`` spans nest
@@ -428,8 +417,6 @@ def run_scenario(
             bill_error_tolerance,
             estimation_method,
             delivery_policy,
-            use_world_cache,
-            fastpath,
         )
     with _trace.span("chaos.scenario", scenario=scenario.name, seed=scenario.seed):
         result = _run_scenario_impl(
@@ -439,8 +426,6 @@ def run_scenario(
             bill_error_tolerance,
             estimation_method,
             delivery_policy,
-            use_world_cache,
-            fastpath,
         )
     _metrics.inc("chaos.scenarios")
     _metrics.inc("chaos.signals.dispatched", result.n_dispatched)
@@ -463,8 +448,6 @@ def _run_scenario_impl(
     bill_error_tolerance: float = 0.03,
     estimation_method: EstimationMethod = EstimationMethod.LINEAR_INTERPOLATION,
     delivery_policy: Optional[DeliveryPolicy] = None,
-    use_world_cache: bool = True,
-    fastpath: bool = True,
 ) -> ChaosRunResult:
     """The body of :func:`run_scenario` (wrapped by its observability shim)."""
     _apply_runtime_faults(scenario)
@@ -475,9 +458,9 @@ def _run_scenario_impl(
     # 1. the world (ESP + system load + SC load + dispatches; cached per
     #    (horizon, peak, seed) — fault intensities never change the world)
     esp, sc_load, baseline_kw, emergencies = _build_world(
-        horizon_days, peak_mw, scenario.seed, use_cache=use_world_cache
+        horizon_days, peak_mw, scenario.seed
     )
-    controller, contract = _build_facility(peak_mw, use_cache=use_world_cache)
+    controller, contract = _build_facility(peak_mw)
     emergencies = list(emergencies)
 
     # 2./3. lossy delivery + graceful degradation
@@ -493,25 +476,21 @@ def _run_scenario_impl(
         baseline_kw=baseline_kw,
         penalty_per_kwh=penalty_component.noncompliance_penalty_per_kwh,
     )
-    response_key = None
-    if use_world_cache and perfconfig.caching_enabled():
-        response_key = (
-            (int(horizon_days), float(peak_mw), int(scenario.seed)),
-            tuple(
-                (o.event.start_s, o.event.end_s, o.event.limit_kw, o.remaining_notice_s)
-                for o in delivered
-            ),
+    response_key = (
+        (int(horizon_days), float(peak_mw), int(scenario.seed)),
+        tuple(
+            (o.event.start_s, o.event.end_s, o.event.limit_kw, o.remaining_notice_s)
+            for o in delivered
+        ),
+    )
+    with _RESPONSE_CACHE_LOCK:
+        cached_response = _RESPONSE_CACHE.get(response_key)
+    if perfconfig.observability_enabled():
+        _metrics.inc(
+            "chaos.response_cache.hit"
+            if cached_response is not None
+            else "chaos.response_cache.miss"
         )
-    cached_response = None
-    if response_key is not None:
-        with _RESPONSE_CACHE_LOCK:
-            cached_response = _RESPONSE_CACHE.get(response_key)
-        if perfconfig.observability_enabled():
-            _metrics.inc(
-                "chaos.response_cache.hit"
-                if cached_response is not None
-                else "chaos.response_cache.miss"
-            )
     if cached_response is not None:
         actual_load, n_degraded = cached_response
     else:
@@ -524,11 +503,10 @@ def _run_scenario_impl(
             if response.response is not None:
                 actual_load = response.response.modified
             n_degraded += int(response.degraded)
-        if response_key is not None:
-            with _RESPONSE_CACHE_LOCK:
-                if len(_RESPONSE_CACHE) >= _RESPONSE_CACHE_MAX:
-                    _RESPONSE_CACHE.clear()
-                _RESPONSE_CACHE[response_key] = (actual_load, n_degraded)
+        with _RESPONSE_CACHE_LOCK:
+            if len(_RESPONSE_CACHE) >= _RESPONSE_CACHE_MAX:
+                _RESPONSE_CACHE.clear()
+            _RESPONSE_CACHE[response_key] = (actual_load, n_degraded)
 
     # 4. imperfect metering → VEE → estimated bill → true-up
     injector = FaultInjector(scenario.fault_spec(), seed=scenario.seed)
@@ -551,10 +529,9 @@ def _run_scenario_impl(
         context,
         estimated=True,
         data_quality=estimated.data_quality(),
-        fastpath=fastpath,
     )
     reconciliation: Reconciliation = engine.reconcile(
-        contract, estimated_bill, actual_load, context, fastpath=fastpath
+        contract, estimated_bill, actual_load, context
     )
     true_bill = reconciliation.true_bill
     billed_noncompliance = max(
@@ -596,8 +573,10 @@ def chaos_grid(
     ``params`` is the recipe dict :func:`run_chaos_sweep` stores in
     journal headers and sharded-sweep manifests (``dropout_rates``,
     ``loss_probabilities``, ``seed``, ``horizon_days``, ``peak_mw``,
-    ``bill_error_tolerance``, ``fastpath``, ``use_world_cache``,
-    ``slow_s``, ``kill_marker``; a ``kind`` key is ignored).  Scenario
+    ``bill_error_tolerance``, ``slow_s``, ``kill_marker``).  Any other
+    key is ignored: ``kind``, and the settlement-path and world-cache
+    switches that recipes carried before those knobs were removed, so
+    older journals and sweep directories still resume.  Scenario
     order is the grid's row-major order — dropout outer, loss inner —
     so a rebuilt grid fingerprints identically to the original, which
     is what lets ``python -m repro sweep --fabric DIR --worker``
@@ -608,8 +587,7 @@ def chaos_grid(
     >>> [s.name for s in grid]
     ['dropout=0%, loss=10%', 'dropout=1%, loss=10%']
     """
-    p = dict(params)
-    p.pop("kind", None)
+    p = params
     seed = int(p.get("seed", 0))
     scenarios = [
         ChaosScenario(
@@ -628,8 +606,6 @@ def chaos_grid(
         horizon_days=int(p.get("horizon_days", 28)),
         peak_mw=float(p.get("peak_mw", 8.0)),
         bill_error_tolerance=float(p.get("bill_error_tolerance", 0.03)),
-        fastpath=bool(p.get("fastpath", True)),
-        use_world_cache=bool(p.get("use_world_cache", True)),
     )
     return scenarios, point_fn
 
@@ -642,8 +618,6 @@ def run_chaos_sweep(
     peak_mw: float = 8.0,
     bill_error_tolerance: float = 0.03,
     parallel: Optional[bool] = None,
-    fastpath: bool = True,
-    use_world_cache: bool = True,
     supervised: bool = False,
     retry=None,
     journal: Optional[str] = None,
@@ -685,8 +659,6 @@ def run_chaos_sweep(
         "horizon_days": int(horizon_days),
         "peak_mw": float(peak_mw),
         "bill_error_tolerance": float(bill_error_tolerance),
-        "fastpath": bool(fastpath),
-        "use_world_cache": bool(use_world_cache),
         "slow_s": float(slow_s),
         "kill_marker": kill_marker,
     }
@@ -729,7 +701,6 @@ def run_chaos_sweep(
                     "horizon_days": int(horizon_days),
                     "peak_mw": float(peak_mw),
                     "bill_error_tolerance": float(bill_error_tolerance),
-                    "fastpath": bool(fastpath),
                 },
                 metrics=_metrics.registry().snapshot(),
                 payload={

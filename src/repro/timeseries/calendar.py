@@ -132,11 +132,8 @@ class SimCalendar:
         """A memoized calendar for ``(interval_s, start_s)``.
 
         Calendars are immutable, so one shared instance per geometry is
-        returned; with caching disabled (see :mod:`repro.perfconfig`) a
-        fresh instance is constructed instead.
+        returned (:func:`repro.perfconfig.clear_caches` drops them).
         """
-        if not perfconfig.caching_enabled():
-            return cls(interval_s, start_s)
         observed = perfconfig.observability_enabled()
         key = (float(interval_s), float(start_s))
         calendar = _CALENDAR_CACHE.get(key)
@@ -215,8 +212,6 @@ class SimCalendar:
     # -- cached coordinate arrays (settlement fast path) -------------------
 
     def _coords(self, kind: str, n_intervals: int, compute) -> np.ndarray:
-        if not perfconfig.caching_enabled():
-            return compute(np.arange(int(n_intervals)))
         key = (kind, int(n_intervals))
         arr = self._coord_cache.get(key)
         if arr is None:

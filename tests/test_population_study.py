@@ -160,3 +160,31 @@ class TestStudy:
         summary = result.summary()
         assert summary["n_archetypes"] == 5.0
         assert all(isinstance(v, float) for v in summary.values())
+
+
+class TestStreamingMemory:
+    """A study holds O(chunk) sites in memory, whatever ``n_sites`` is.
+
+    Four times the sites, in four times the chunks, must not raise the
+    traced allocation peak: every chunk is generated, settled and folded
+    into the mergeable statistics before the next one is drawn.
+    """
+
+    @staticmethod
+    def _traced_peak_bytes(n_sites: int) -> int:
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            population_bill_study(n_sites=n_sites, n_intervals=24 * 28, chunk=32)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_is_flat_in_the_number_of_sites(self):
+        # warm the calendar, plan and import-time allocations first, so
+        # both traced runs measure only what a study itself holds
+        population_bill_study(n_sites=32, n_intervals=24 * 28, chunk=32)
+        small = self._traced_peak_bytes(32 * 4)
+        large = self._traced_peak_bytes(32 * 16)
+        assert large <= 1.25 * small, (small, large)

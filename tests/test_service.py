@@ -256,14 +256,33 @@ class TestAdmission:
 
 
 class TestQuoteTable:
-    def test_every_quote_equals_the_direct_encoding(self, catalog):
+    @staticmethod
+    def _assert_every_quote_is_the_direct_encoding(catalog):
+        # The quotes were settled by ``bill_many`` at construction.  Drop
+        # every memo first, so each reference is a fresh ``bill`` on a
+        # fresh plan rather than a replay of the memoized quote.
+        perfconfig.clear_caches()
+        n = 0
         for detail in ("summary", "full"):
             for c in catalog.contract_names():
                 for l in catalog.load_names():
                     direct = encode_bill(catalog.price(c, l), detail)
                     assert catalog.quote(c, l, detail) == json.dumps(
                         direct, sort_keys=True
-                    ).encode("utf-8")
+                    ).encode("utf-8"), (c, l, detail)
+                    n += 1
+        return n
+
+    def test_every_quote_equals_the_direct_encoding(self, catalog):
+        assert self._assert_every_quote_is_the_direct_encoding(catalog) == 40
+
+    def test_serve_default_catalog_quotes_equal_the_direct_encoding(self):
+        # The catalog ``python -m repro serve`` starts with (8 sites, 28
+        # days, four weekly periods) -- the one the benchmark suite's
+        # served-quote check runs on.
+        served = default_catalog()
+        assert len(served.periods) == 4
+        assert self._assert_every_quote_is_the_direct_encoding(served) == 80
 
 
 class TestMicroBatcher:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro import perfconfig
+from repro.analysis.comparison import compare_contracts
 from repro.analysis.scenarios import synthetic_sc_load
 from repro.analysis.sweep import sweep_map
 from repro.contracts import (
@@ -136,8 +137,8 @@ class TestTariffLibraryDifferential:
             legacy = engine.bill(contract, load, periods, ctx, fastpath=False)
             assert_bills_equivalent(fast, legacy)
 
-    def test_equivalence_with_caching_disabled(self):
-        """The caches are a speedup, never a semantic dependency."""
+    def test_equivalence_after_clear_caches(self):
+        """A cold fast-path bill agrees with the warm one and the legacy loop."""
         load = synthetic_sc_load(8.0, n_days=28, seed=9)
         periods = [
             BillingPeriod(f"w{w}", w * 7 * DAY_S, (w + 1) * 7 * DAY_S)
@@ -145,12 +146,12 @@ class TestTariffLibraryDifferential:
         ]
         contract = _tariff_library()["us_industrial_tou"]
         engine = BillingEngine()
-        cached = engine.bill(contract, load, periods)
-        with perfconfig.no_caching():
-            uncached_fast = engine.bill(contract, load, periods)
-            uncached_legacy = engine.bill(contract, load, periods, fastpath=False)
-        assert_bills_equivalent(cached, uncached_fast)
-        assert_bills_equivalent(uncached_fast, uncached_legacy)
+        warm = engine.bill(contract, load, periods)
+        perfconfig.clear_caches()
+        cold_fast = engine.bill(contract, load, periods)
+        cold_legacy = engine.bill(contract, load, periods, fastpath=False)
+        assert_bills_equivalent(warm, cold_fast)
+        assert_bills_equivalent(cold_fast, cold_legacy)
 
     def test_top_k_and_ratchet_demand_paths(self):
         """Demand-charge variants that exercise the per-period fallback."""
@@ -344,17 +345,16 @@ class TestPlanAndCalendarCaches:
         p1 = plan_for(load, periods)
         p2 = plan_for(load, periods)
         assert p1 is p2
-        with perfconfig.no_caching():
-            p3 = plan_for(load, periods)
-            assert p3 is not p1
+        perfconfig.clear_caches()
+        assert plan_for(load, periods) is not p1
 
     def test_calendar_memoized_per_geometry(self):
         load = synthetic_sc_load(10.0, n_days=14, seed=3)
         c1 = SimCalendar.for_series(load)
         c2 = SimCalendar.for_series(load)
         assert c1 is c2
-        with perfconfig.no_caching():
-            assert SimCalendar.for_series(load) is not c1
+        perfconfig.clear_caches()
+        assert SimCalendar.for_series(load) is not c1
 
     def test_settlement_plan_requires_periods(self):
         load = synthetic_sc_load(10.0, n_days=7, seed=3)
@@ -408,14 +408,134 @@ class TestSettlementMemo:
         assert all(p1 is not p2 for p1, p2 in zip(b1.period_bills, b2.period_bills))
         assert b1.total == pytest.approx(b2.total, abs=TOL)
 
-    def test_no_caching_disables_memo(self):
-        load, periods, engine = self._setup()
-        contract = us_industrial_tou("SC", peak_kw=12_000.0)
-        with perfconfig.no_caching():
-            b1 = engine.bill(contract, load, periods)
-            b2 = engine.bill(contract, load, periods)
-        assert all(p1 is not p2 for p1, p2 in zip(b1.period_bills, b2.period_bills))
-        assert b1.total == pytest.approx(b2.total, abs=TOL)
+
+# -- the cold == warm law -----------------------------------------------------
+
+
+def _same_bill(a: Bill, b: Bill) -> bool:
+    """Bit-identical totals, periods and line items (``==``, no tolerance)."""
+    return a.total == b.total and [
+        (p.period, p.energy_kwh, p.peak_kw, p.line_items) for p in a.period_bills
+    ] == [(p.period, p.energy_kwh, p.peak_kw, p.line_items) for p in b.period_bills]
+
+
+class TestColdWarmLaw:
+    """The caches are a speedup, never a semantic dependency.
+
+    A result computed right after :func:`repro.perfconfig.clear_caches`
+    (every calendar, rate vector, plan, settled-bill memo, price
+    realization and chaos world rebuilt) is bit-identical to the same
+    result computed again warm — with the same objects, which replays the
+    memos, and with fresh equal objects, which replays only the shared
+    geometry caches.
+    """
+
+    PERIODS = tuple(
+        BillingPeriod(f"w{w}", w * 7 * DAY_S, (w + 1) * 7 * DAY_S) for w in range(4)
+    )
+
+    @pytest.mark.parametrize("name", sorted(_tariff_library()))
+    def test_bill_cold_equals_warm(self, name):
+        load = synthetic_sc_load(15.0, n_days=28, seed=9)
+        ctx = _context(load)
+        engine = BillingEngine()
+        contract = _tariff_library()[name]
+        perfconfig.clear_caches()
+        cold = engine.bill(contract, load, self.PERIODS, ctx)
+        warm = engine.bill(contract, load, self.PERIODS, ctx)
+        fresh_contract = engine.bill(_tariff_library()[name], load, self.PERIODS, ctx)
+        fresh_load = engine.bill(
+            _tariff_library()[name],
+            PowerSeries(load.values_kw.copy(), load.interval_s, load.start_s),
+            self.PERIODS,
+            ctx,
+        )
+        for other in (warm, fresh_contract, fresh_load):
+            assert _same_bill(cold, other)
+
+    def test_bill_many_cold_equals_warm(self):
+        load = synthetic_sc_load(15.0, n_days=28, seed=9)
+        ctx = _context(load)
+        engine = BillingEngine()
+        perfconfig.clear_caches()
+        cold = engine.bill_many(
+            list(_tariff_library().values()), load, self.PERIODS, context=ctx
+        )
+        warm = engine.bill_many(
+            list(_tariff_library().values()), load, self.PERIODS, context=ctx
+        )
+        assert all(_same_bill(a, b) for a, b in zip(cold, warm))
+
+    def test_bill_population_cold_equals_warm(self):
+        from repro.analysis.population import (
+            population_archetypes,
+            population_context,
+        )
+        from repro.contracts import SitePopulation
+        from repro.survey.population import synthetic_load_matrix
+
+        n_intervals = 24 * 28
+        loads, _ = synthetic_load_matrix(37, n_intervals, 3600.0, seed=3)
+        ctx = population_context(n_intervals, 3600.0, seed=3)
+        engine = BillingEngine()
+
+        def settle(population):
+            return [
+                engine.bill_population(population, c, self.PERIODS, ctx)
+                for c in population_archetypes(3600.0)
+            ]
+
+        population = SitePopulation(loads, 3600.0)
+        perfconfig.clear_caches()
+        cold = settle(population)
+        for warm in (settle(population), settle(SitePopulation(loads, 3600.0))):
+            for a, b in zip(cold, warm):
+                assert np.array_equal(a.totals(), b.totals())
+                assert np.array_equal(a.period_totals(), b.period_totals())
+                for ma, mb in zip(a.component_matrices, b.component_matrices):
+                    assert np.array_equal(ma.amounts, mb.amounts)
+
+    def test_price_series_cold_equals_warm(self):
+        from repro.analysis.scenarios import generate_price_series
+
+        load = synthetic_sc_load(5.0, n_days=14, seed=4)
+        perfconfig.clear_caches()
+        cold = generate_price_series(load, price_seed=7)
+        warm = generate_price_series(load, price_seed=7)
+        assert warm is cold  # the realization memo replays it
+        perfconfig.clear_caches()
+        rebuilt = generate_price_series(load, price_seed=7)
+        assert rebuilt is not cold
+        assert np.array_equal(rebuilt.values_kw, cold.values_kw)
+        assert (rebuilt.interval_s, rebuilt.start_s) == (cold.interval_s, cold.start_s)
+
+    def test_chaos_sweep_cold_equals_warm(self):
+        """The chaos world, response and facility memos change no result."""
+        from repro.robustness.chaos import run_chaos_sweep
+
+        grid = dict(
+            dropout_rates=(0.0, 0.05),
+            loss_probabilities=(0.0, 0.2),
+            horizon_days=14,
+            parallel=False,
+        )
+        perfconfig.clear_caches()
+        cold = run_chaos_sweep(**grid).results
+        warm = run_chaos_sweep(**grid).results
+        assert cold == warm
+
+
+class TestCompareContractsDifferential:
+    """The paired comparison settles the same bills on both paths."""
+
+    def test_fast_equals_legacy(self):
+        load = synthetic_sc_load(15.0, n_days=365, seed=12)
+        contracts = list(_tariff_library().values())
+        fast = compare_contracts(load, contracts, parallel=False)
+        legacy = compare_contracts(load, contracts, parallel=False, fastpath=False)
+        for f, lg in zip(fast.results, legacy.results):
+            assert f.spec.name == lg.spec.name
+            assert_bills_equivalent(f.bill, lg.bill)
 
 
 # -- sweep executor -----------------------------------------------------------

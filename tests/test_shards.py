@@ -182,8 +182,12 @@ class TestShardJournalCorruption:
         state = read_shard_journal(victim)
         assert state.n_dropped == 1
         assert sorted(state.results) == [0, 1, 2]
-        # a new worker truncates the torn tail and finishes the shard
-        ShardWorker(d, _square, GRID, owner="b").run(wait=True)
+        # a new worker truncates the torn tail and finishes the shard; its
+        # clock runs an hour ahead, so it sees "a"'s lease as expired and
+        # steals at once instead of waiting out the real 30 s lease
+        ShardWorker(
+            d, _square, GRID, owner="b", clock=lambda: time.time() + 3600.0
+        ).run(wait=True)
         report = merge_shard_journals(d, items=GRID)
         assert report.results == [x * x for x in GRID]
 

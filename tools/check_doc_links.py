@@ -10,11 +10,19 @@ so CI runs this checker over every tracked markdown file.  It validates:
   match a heading slug or an explicit ``<a id="...">`` in the target;
 * bare ``http(s)://`` links are *not* fetched (CI must stay offline) but
   are counted so the summary shows coverage;
-* backtick-quoted ``file:line`` anchors — ``` `src/repro/x.py:42` ``` must
-  name an existing file (relative to the repo root) with at least that
-  many lines, and a bare continuation ``` `:42` ``` reuses the most recent
-  file named earlier on the same line (the table idiom in
-  ``docs/paper_mapping.md``).
+* backtick-quoted symbol anchors — ``` `src/repro/x.py::Name` ``` or
+  ``` `src/repro/x.py::Class.method` ``` (or pytest's ``Class::method``)
+  must name a class, function or assignment that ``ast`` finds in that
+  file, and a bare continuation
+  ``` `::Name` ``` reuses the most recent file named earlier on the same
+  line (the table idiom in ``docs/paper_mapping.md``).  A path with a
+  directory is relative to the repo root; a bare file name is a test or
+  bench named pytest-style (``test_x.py::TestY``), looked up under
+  ``tests/`` and ``benchmarks/``;
+* the retired ``file:line`` form (``` `src/repro/x.py:42` ```, ``` `:42` ```)
+  is rejected outright: a line number drifts with every edit above it
+  and still "resolves" while pointing at the wrong code, a symbol does
+  not.
 
 Usage:
 
@@ -27,10 +35,11 @@ printed as ``file: [text](target): reason``).
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -39,9 +48,14 @@ LINK_RE = re.compile(r"!?\[([^\]]*)\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 ANCHOR_ID_RE = re.compile(r'<a\s+id="([^"]+)"')
 CODE_FENCE_RE = re.compile(r"^(```|~~~)")
-#: ``` `path/to/file.py:42` ``` or a bare continuation ``` `:42` ``` that
-#: reuses the most recent file named earlier on the same line.
-FILE_LINE_RE = re.compile(r"`([A-Za-z0-9_./\-]+\.(?:py|md|toml|yml|yaml|json))?:(\d+)`")
+#: ``` `path/to/file.py::Name` ``` / ``` `file.py::Class.method` ``` or a
+#: bare continuation ``` `::Name` ``` that reuses the most recent file named
+#: earlier on the same line.
+SYMBOL_RE = re.compile(r"`([A-Za-z0-9_./\-]+\.py)?::([A-Za-z_]\w*(?:(?:\.|::)[A-Za-z_]\w*)*)`")
+#: The retired ``` `path/to/file.py:42` ``` / ``` `:42` ``` line anchors.
+LINE_ANCHOR_RE = re.compile(r"`([A-Za-z0-9_./\-]+\.(?:py|md|toml|yml|yaml|json))?:(\d+)`")
+#: Where a bare file name (no directory) is looked up, in order.
+BARE_NAME_DIRS = ("tests", "benchmarks")
 
 
 def default_files() -> List[Path]:
@@ -108,36 +122,69 @@ def check_file(path: Path, cache: Dict[Path, Set[str]]) -> List[str]:
             reason = check_link(path, target, cache)
             if reason:
                 failures.append(f"{_display(path)}:{lineno}: [{text}]({target}): {reason}")
-        for anchor, reason in check_file_line_anchors(line):
+        for anchor, reason in check_symbol_anchors(line, cache):
             failures.append(f"{_display(path)}:{lineno}: `{anchor}`: {reason}")
     return failures
 
 
-def check_file_line_anchors(line: str) -> List[Tuple[str, str]]:
-    """``(anchor, reason)`` pairs for every broken ``file:line`` anchor.
+def resolve_source(name: str) -> Optional[Path]:
+    """The file a symbol anchor names, or ``None`` when there is none."""
+    if "/" in name:
+        candidates = [REPO / name]
+    else:
+        candidates = [REPO / d / name for d in BARE_NAME_DIRS]
+    return next((c for c in candidates if c.is_file()), None)
 
-    A continuation anchor (``` `:42` ```) binds to the most recent file
+
+def symbols_of(path: Path, cache: Dict[Path, Set[str]]) -> Set[str]:
+    """Dotted names ``path`` defines: classes, functions and assignments at
+    module level, and the same inside each class (``Class.method``)."""
+    if path in cache:
+        return cache[path]
+    names: Set[str] = set()
+
+    def visit(body: List[ast.stmt], prefix: str) -> None:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(prefix + node.name)
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, ast.Assign):
+                names.update(prefix + t.id for t in node.targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.add(prefix + node.target.id)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body, "")
+    cache[path] = names
+    return names
+
+
+def check_symbol_anchors(line: str, cache: Dict[Path, Set[str]]) -> List[Tuple[str, str]]:
+    """``(anchor, reason)`` pairs for every broken anchor on ``line``.
+
+    A continuation anchor (``` `::Name` ```) binds to the most recent file
     named earlier on the same line; one with no antecedent is itself a
-    failure.  Line counts come from the current working tree, so the check
-    catches anchors gone stale after an edit shrinks the target file.
+    failure.  Symbols come from parsing the current working tree, so the
+    check catches an anchor whose symbol was renamed or deleted.
     """
-    failures: List[Tuple[str, str]] = []
-    last_file: str = ""
-    for m in FILE_LINE_RE.finditer(line):
-        file_part, line_no = m.group(1), int(m.group(2))
+    failures: List[Tuple[str, str]] = [
+        (m.group(0).strip("`"), "line anchors drift with every edit; name the symbol as `path.py::Name`")
+        for m in LINE_ANCHOR_RE.finditer(line)
+    ]
+    last_file = ""
+    for m in SYMBOL_RE.finditer(line):
+        file_part, symbol = m.group(1), m.group(2)
         if file_part:
             last_file = file_part
         elif not last_file:
-            failures.append((m.group(0).strip("`"), "continuation `:N` anchor has no preceding file on this line"))
+            failures.append((m.group(0).strip("`"), "continuation `::Name` anchor has no preceding file on this line"))
             continue
-        anchor = f"{file_part or last_file}:{line_no}"
-        target = REPO / (file_part or last_file)
-        if not target.exists():
-            failures.append((anchor, f"target file {file_part or last_file} does not exist"))
-            continue
-        n_lines = len(target.read_text(encoding="utf-8").splitlines())
-        if line_no < 1 or line_no > n_lines:
-            failures.append((anchor, f"line {line_no} out of range ({file_part or last_file} has {n_lines} lines)"))
+        anchor = f"{last_file}::{symbol}"
+        source = resolve_source(last_file)
+        if source is None:
+            failures.append((anchor, f"target file {last_file} does not exist"))
+        elif symbol.replace("::", ".") not in symbols_of(source, cache):
+            failures.append((anchor, f"{last_file} defines no `{symbol}`"))
     return failures
 
 
@@ -171,13 +218,13 @@ def main(argv: List[str]) -> int:
     for path in files:
         text = path.read_text(encoding="utf-8")
         n_links += len(LINK_RE.findall(text))
-        n_anchors += len(FILE_LINE_RE.findall(text))
+        n_anchors += len(SYMBOL_RE.findall(text))
         failures.extend(check_file(path, cache))
     if failures:
         print("\n".join(failures), file=sys.stderr)
         print(f"{len(failures)} broken link(s) across {len(files)} file(s)", file=sys.stderr)
         return 1
-    print(f"{len(files)} file(s), {n_links} link(s), {n_anchors} file:line anchor(s): all resolve")
+    print(f"{len(files)} file(s), {n_links} link(s), {n_anchors} symbol anchor(s): all resolve")
     return 0
 
 
